@@ -51,7 +51,6 @@ from .correspondence import (
     Relation,
     correspondence_from_json_dict,
     distortion,
-    enumerate_correspondences,
     gh_distance_exact,
     gh_distance_heuristic,
     gh_lower_bound,

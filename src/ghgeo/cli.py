@@ -29,48 +29,24 @@ from .correspondence import (
 from .errors import GHGeoError, SearchSpaceTooLarge
 from .geodesic import geodesic_slice
 from .metric_core import (
+    DEFAULT_TOL,
     FiniteMetricSpace,
     hausdorff_distance,
     load_space,
     max_triangle_deficit,
 )
-from .realization import ParamGrid, load_product, realize_geodesic, verify_product
+from .realization import (
+    DEFAULT_GRID_SIZE,
+    ParamGrid,
+    load_product,
+    realize_geodesic,
+    verify_product,
+)
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_SEARCH_CAP = 3
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation; invariants are validated on construction."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    subset_a: tuple[int, ...] = ()
-    subset_b: tuple[int, ...] = ()
-    method: str = "exact"
-    t: float | None = None
-    corr_path: str | None = None
-    grid_size: int = 11
-    tol: float = 1e-9
-    seed: int = 0
-    iterations: int = 1000
-    restarts: int = 4
-    c_override: float | None = None
-    force: bool = False
-    output: str | None = None
-
-    def __post_init__(self):
-        if self.grid_size < 2:
-            raise ValueError("grid size must be at least 2")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
 
 
 @dataclass
@@ -87,20 +63,18 @@ def _error_payload(exc: Exception) -> str:
     return _dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
-def _load_two_spaces(cfg: RunConfig) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:
-    if len(cfg.inputs) != 2:
-        raise ValueError("expected two space files")
-    return load_space(cfg.inputs[0], cfg.tol), load_space(cfg.inputs[1], cfg.tol)
+def _load_two_spaces(args) -> tuple[FiniteMetricSpace, FiniteMetricSpace]:
+    return load_space(args.x, args.tol), load_space(args.y, args.tol)
 
 
-def _witness_for(cfg: RunConfig, x: FiniteMetricSpace, y: FiniteMetricSpace) -> Correspondence:
-    if cfg.corr_path is not None:
-        return load_correspondence(cfg.corr_path)
+def _witness_for(args, x: FiniteMetricSpace, y: FiniteMetricSpace) -> Correspondence:
+    if args.corr is not None:
+        return load_correspondence(args.corr)
     return gh_distance_exact(x, y).witness
 
 
-def _cmd_validate(cfg: RunConfig) -> RunResult:
-    space = load_space(cfg.inputs[0], cfg.tol)
+def _cmd_validate(args) -> RunResult:
+    space = load_space(args.space, args.tol)
     deficit, _ = max_triangle_deficit(space.dist)
     out = _dumps(
         {
@@ -113,85 +87,56 @@ def _cmd_validate(cfg: RunConfig) -> RunResult:
     return RunResult(EXIT_OK, out)
 
 
-def _cmd_hausdorff(cfg: RunConfig) -> RunResult:
-    space = load_space(cfg.inputs[0], cfg.tol)
-    a = space.subset(cfg.subset_a)
-    b = space.subset(cfg.subset_b)
+def _cmd_hausdorff(args) -> RunResult:
+    a, b = _indices(args.a), _indices(args.b)
+    space = load_space(args.space, args.tol)
+    a, b = space.subset(a), space.subset(b)
     return RunResult(EXIT_OK, _dumps({"value": hausdorff_distance(space, a, b)}))
 
 
-def _cmd_dist(cfg: RunConfig) -> RunResult:
-    x, y = _load_two_spaces(cfg)
-    if cfg.method == "heuristic":
-        result = gh_distance_heuristic(
-            x, y, HeuristicConfig(cfg.iterations, cfg.seed, cfg.restarts)
-        )
+def _cmd_dist(args) -> RunResult:
+    config = HeuristicConfig(args.iterations, args.seed, args.restarts)
+    x, y = _load_two_spaces(args)
+    if args.heuristic:
+        result = gh_distance_heuristic(x, y, config)
     else:
         result = gh_distance_exact(x, y)
     return RunResult(EXIT_OK, _dumps(result.to_json_dict()))
 
 
-def _cmd_geodesic(cfg: RunConfig) -> RunResult:
-    x, y = _load_two_spaces(cfg)
-    if cfg.t is None:
-        raise ValueError("--t is required")
-    witness = _witness_for(cfg, x, y)
-    space = geodesic_slice(witness, x, y, cfg.t).as_space()
+def _cmd_geodesic(args) -> RunResult:
+    x, y = _load_two_spaces(args)
+    witness = _witness_for(args, x, y)
+    space = geodesic_slice(witness, x, y, args.t).as_space()
     payload = _dumps(space.to_json_dict())
-    if cfg.output:
-        Path(cfg.output).write_text(payload)
+    if args.output:
+        Path(args.output).write_text(payload)
     return RunResult(EXIT_OK, payload)
 
 
-def _cmd_realize(cfg: RunConfig) -> RunResult:
-    x, y = _load_two_spaces(cfg)
-    witness = _witness_for(cfg, x, y)
-    grid = ParamGrid.uniform(cfg.grid_size)
+def _cmd_realize(args) -> RunResult:
+    grid = ParamGrid.uniform(args.grid)
+    x, y = _load_two_spaces(args)
+    witness = _witness_for(args, x, y)
     prod, report = realize_geodesic(
         x, y, witness,
-        grid=grid, c_override=cfg.c_override, tol=cfg.tol, force=cfg.force,
+        grid=grid, c_override=args.c, tol=args.tol, force=args.force,
     )
     payload = _dumps(
         {"product": prod.to_json_dict(), "report": report.to_json_dict()}
     )
     code = EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
-    if cfg.output:
-        Path(cfg.output).write_text(payload)
+    if args.output:
+        Path(args.output).write_text(payload)
         return RunResult(code, _dumps(report.to_json_dict()))
     return RunResult(code, payload)
 
 
-def _cmd_verify(cfg: RunConfig) -> RunResult:
-    prod = load_product(cfg.inputs[0])
-    report = verify_product(prod, tol=cfg.tol)
+def _cmd_verify(args) -> RunResult:
+    prod = load_product(args.product)
+    report = verify_product(prod, tol=args.tol)
     code = EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
     return RunResult(code, _dumps(report.to_json_dict()))
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "hausdorff": _cmd_hausdorff,
-    "dist": _cmd_dist,
-    "geodesic": _cmd_geodesic,
-    "realize": _cmd_realize,
-    "verify": _cmd_verify,
-}
-
-
-def run(config: RunConfig) -> RunResult:
-    """Execute one command; exceptions become exit codes, never escape."""
-    try:
-        handler = _COMMANDS[config.command]
-    except KeyError:
-        return RunResult(EXIT_INPUT_ERROR, _error_payload(ValueError(
-            f"unknown command {config.command!r}"
-        )))
-    try:
-        return handler(config)
-    except SearchSpaceTooLarge as exc:
-        return RunResult(EXIT_SEARCH_CAP, _error_payload(exc))
-    except (GHGeoError, ValueError, OSError) as exc:
-        return RunResult(EXIT_INPUT_ERROR, _error_payload(exc))
 
 
 def _indices(text: str) -> tuple[int, ...]:
@@ -208,108 +153,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_tol(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="absolute tolerance")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="absolute tolerance")
+        return p
 
-    p = sub.add_parser("validate", help="check the metric axioms of a space file")
+    p = command("validate", _cmd_validate, "check the metric axioms of a space file")
     p.add_argument("space")
-    add_tol(p)
 
-    p = sub.add_parser("hausdorff", help="Hausdorff distance between two subsets")
+    p = command("hausdorff", _cmd_hausdorff, "Hausdorff distance between two subsets")
     p.add_argument("space")
     p.add_argument("--a", required=True, help="comma-separated point indices")
     p.add_argument("--b", required=True, help="comma-separated point indices")
-    add_tol(p)
 
-    p = sub.add_parser("dist", help="Gromov-Hausdorff distance between two spaces")
+    p = command("dist", _cmd_dist, "Gromov-Hausdorff distance between two spaces")
     p.add_argument("x")
     p.add_argument("y")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exact", action="store_true", help="exhaustive search (default)")
     g.add_argument("--heuristic", action="store_true", help="seeded local search")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--restarts", type=int, default=4)
-    add_tol(p)
+    p.add_argument("--seed", type=int, default=HeuristicConfig.seed)
+    p.add_argument("--iterations", type=int, default=HeuristicConfig.iterations)
+    p.add_argument("--restarts", type=int, default=HeuristicConfig.restarts)
 
-    p = sub.add_parser("geodesic", help="export one slice of the rectilinear geodesic")
+    p = command("geodesic", _cmd_geodesic, "export one slice of the rectilinear geodesic")
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--t", type=float, required=True, help="parameter in [0, 1]")
     p.add_argument("--corr", help="correspondence JSON (default: exact optimum)")
     p.add_argument("-o", "--output")
-    add_tol(p)
 
-    p = sub.add_parser("realize", help="build and certify the product realization")
+    p = command("realize", _cmd_realize, "build and certify the product realization")
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--corr", help="correspondence JSON (default: exact optimum)")
-    p.add_argument("--grid", type=int, default=11, help="uniform grid size on [0, 1]")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_SIZE,
+                   help="uniform grid size on [0, 1]")
     p.add_argument("--c", type=float, default=None, help="override the vertical scale")
     p.add_argument("--force", action="store_true",
                    help="build even if the metric conditions fail")
     p.add_argument("-o", "--output", help="write product + report JSON here")
-    add_tol(p)
 
-    p = sub.add_parser("verify", help="re-verify a saved product file")
+    p = command("verify", _cmd_verify, "re-verify a saved product file")
     p.add_argument("product")
-    add_tol(p)
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cmd = args.command
-    common = dict(command=cmd, tol=getattr(args, "tol", 1e-9))
-    if cmd == "validate":
-        return RunConfig(inputs=(args.space,), **common)
-    if cmd == "hausdorff":
-        return RunConfig(
-            inputs=(args.space,),
-            subset_a=_indices(args.a),
-            subset_b=_indices(args.b),
-            **common,
-        )
-    if cmd == "dist":
-        return RunConfig(
-            inputs=(args.x, args.y),
-            method="heuristic" if args.heuristic else "exact",
-            seed=args.seed,
-            iterations=args.iterations,
-            restarts=args.restarts,
-            **common,
-        )
-    if cmd == "geodesic":
-        return RunConfig(
-            inputs=(args.x, args.y),
-            t=args.t,
-            corr_path=args.corr,
-            output=args.output,
-            **common,
-        )
-    if cmd == "realize":
-        return RunConfig(
-            inputs=(args.x, args.y),
-            corr_path=args.corr,
-            grid_size=args.grid,
-            c_override=args.c,
-            force=args.force,
-            output=args.output,
-            **common,
-        )
-    if cmd == "verify":
-        return RunConfig(inputs=(args.product,), **common)
-    raise ValueError(f"unknown command {cmd!r}")
+def run(argv: list[str] | None = None) -> RunResult:
+    """Parse and execute one command; exceptions become exit codes, never escape.
+
+    Invalid arguments end the process through argparse (exit 2, usage on
+    stderr); invalid option values and inputs give exit 2 with a JSON error.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        if not args.tol > 0:
+            raise ValueError("tolerance must be positive")
+        return args.handler(args)
+    except SearchSpaceTooLarge as exc:
+        return RunResult(EXIT_SEARCH_CAP, _error_payload(exc))
+    except (GHGeoError, ValueError, OSError) as exc:
+        return RunResult(EXIT_INPUT_ERROR, _error_payload(exc))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        sys.stdout.write(_error_payload(exc))
-        return EXIT_INPUT_ERROR
-    result = run(config)
+    result = run(argv)
     sys.stdout.write(result.output)
     return result.exit_code
 

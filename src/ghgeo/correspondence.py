@@ -14,10 +14,8 @@ instances and returns an upper bound with a witness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from .errors import (
     SearchSpaceTooLarge,
     SizeMismatch,
 )
-from .metric_core import FiniteMetricSpace
+from .metric_core import FiniteMetricSpace, _json_convert, _json_fields, _parse_json
 
 # Hard cap on exhaustive search: at most 2^25 candidate bitmasks.
 MAX_EXACT_BITS = 25
@@ -63,9 +61,10 @@ class Relation:
         return mask
 
     def is_surjective(self) -> bool:
+        # every pair is in range, so covering means hitting m rows and n columns
         return (
-            {i for i, _ in self.pairs} == set(range(self.m))
-            and {j for _, j in self.pairs} == set(range(self.n))
+            len({i for i, _ in self.pairs}) == self.m
+            and len({j for _, j in self.pairs}) == self.n
         )
 
     def __len__(self) -> int:
@@ -100,17 +99,17 @@ class Correspondence(Relation):
 
 
 def correspondence_from_json_dict(data: dict) -> Correspondence:
-    for key in ("m", "n", "pairs"):
-        if key not in data:
-            raise ValueError(f"correspondence JSON is missing the {key!r} field")
+    what = "correspondence JSON"
+    m, n, pairs = _json_fields(data, what, ("m", "n", "pairs"))
     return Correspondence(
-        int(data["m"]), int(data["n"]),
-        frozenset((int(i), int(j)) for i, j in data["pairs"]),
+        _json_convert(int, m, what, "m"),
+        _json_convert(int, n, what, "n"),
+        _json_convert(lambda v: frozenset((int(i), int(j)) for i, j in v), pairs, what, "pairs"),
     )
 
 
 def load_correspondence(path: str | Path) -> Correspondence:
-    return correspondence_from_json_dict(json.loads(Path(path).read_text()))
+    return correspondence_from_json_dict(_parse_json(Path(path).read_text()))
 
 
 @dataclass(frozen=True)
@@ -162,37 +161,11 @@ def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     return 0.5 * abs(x.diameter() - y.diameter())
 
 
-# ---------------------------------------------------------------------------
-# enumeration
-# ---------------------------------------------------------------------------
-
 def _require_within_cap(m: int, n: int) -> None:
     if m * n > MAX_EXACT_BITS:
         raise SearchSpaceTooLarge(
             f"m*n = {m * n} exceeds the exhaustive-search cap of {MAX_EXACT_BITS}"
         )
-
-
-def enumerate_correspondences(m: int, n: int) -> Iterator[Correspondence]:
-    """Yield every correspondence between [0, m) and [0, n) exactly once.
-
-    Order is ascending by bitmask (pair (i, j) occupies bit i*n + j), which
-    is deterministic across runs and platforms.
-    """
-    _require_within_cap(m, n)
-    mn = m * n
-    full_rows = (1 << m) - 1
-    full_cols = (1 << n) - 1
-    for mask in range(1, 1 << mn):
-        rows = cols = 0
-        k = mask
-        while k:
-            b = (k & -k).bit_length() - 1
-            rows |= 1 << (b // n)
-            cols |= 1 << (b % n)
-            k &= k - 1
-        if rows == full_rows and cols == full_cols:
-            yield Correspondence.from_bitmask(m, n, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +371,8 @@ def _descend(delta, m: int, n: int, codes: set[int], max_steps: int) -> tuple[fl
     """First-improvement hill climbing on distortion.
 
     Moves are scanned in a fixed order: remove a pair (surjectivity
-    permitting), swap a pair for an absent one, add a pair.  Distortion is
-    monotone under inclusion, so adds never strictly improve; they are kept
-    for completeness of the move set and as documentation of the neighborhood.
+    permitting), then swap a pair for an absent one.  Adding a pair is never
+    a move, since distortion is monotone under inclusion.
     """
     mn = m * n
     row_of = [k // n for k in range(mn)]
@@ -413,11 +385,10 @@ def _descend(delta, m: int, n: int, codes: set[int], max_steps: int) -> tuple[fl
     cur = _dis_codes(delta, codes)
     steps = 0
 
-    def apply(removed: int | None, added: int | None) -> None:
-        if removed is not None:
-            codes.discard(removed)
-            row_count[row_of[removed]] -= 1
-            col_count[col_of[removed]] -= 1
+    def apply(removed: int, added: int | None) -> None:
+        codes.discard(removed)
+        row_count[row_of[removed]] -= 1
+        col_count[col_of[removed]] -= 1
         if added is not None:
             codes.add(added)
             row_count[row_of[added]] += 1
@@ -458,18 +429,6 @@ def _descend(delta, m: int, n: int, codes: set[int], max_steps: int) -> tuple[fl
                         improved = True
                         break
                 if improved:
-                    break
-        if not improved:
-            # adds (never fire: see docstring)
-            for q in range(mn):
-                if q in codes:
-                    continue
-                row = delta[q]
-                d2 = max(cur, max((row[u] for u in codes), default=0.0))
-                if d2 < cur:
-                    apply(None, q)
-                    cur = d2
-                    improved = True
                     break
         if not improved:
             break

@@ -17,8 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correspondence import Correspondence, _check_sizes, distortion, gh_distance_exact
-from .errors import NotOptimalCorrespondence, ParameterOutOfRange, SearchSpaceTooLarge
+from .correspondence import (
+    Correspondence,
+    _check_sizes,
+    _require_within_cap,
+    distortion,
+    gh_distance_exact,
+)
+from .errors import NotOptimalCorrespondence, ParameterOutOfRange
 from .metric_core import FiniteMetricSpace
 
 # half-distortion must match the exact GH value this closely for the
@@ -106,18 +112,15 @@ def slice_gh_check(
 ) -> SliceGHCheck:
     """Compare d_GH(R_t, R_s) against |t-s| * d_GH(X, Y) for an optimal R.
 
-    Both slices have |R| points, so the exact solver needs |R|^2 <= 25.
+    Both slices have |R| points, so the exact solver needs |R|^2 within its
+    cap MAX_EXACT_BITS.
     Raises NotOptimalCorrespondence when half the distortion of R does not
     match the exact GH distance of (X, Y).
     """
     for v in (t, s):
         if not 0.0 <= v <= 1.0:
             raise ParameterOutOfRange(f"parameter {v!r} outside [0, 1]")
-    r = len(R)
-    if r * r > 25:
-        raise SearchSpaceTooLarge(
-            f"|R|^2 = {r * r} exceeds the exact-solver cap of 25"
-        )
+    _require_within_cap(len(R), len(R))
     base = gh_distance_exact(x, y)
     half_dis = 0.5 * distortion(R, x, y)
     if abs(half_dis - base.value) > OPTIMALITY_TOL:

@@ -242,14 +242,47 @@ def hausdorff_distance(space: FiniteMetricSpace, a: PointSubset, b: PointSubset)
 # file formats
 # ---------------------------------------------------------------------------
 
-def space_from_json_dict(data: dict, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
-    for key in ("name", "points", "matrix"):
+def _json_fields(data, what: str, keys: Sequence[str]) -> list:
+    """The values of ``keys`` in the JSON object ``data``.
+
+    Raises ValueError, naming ``what``, when ``data`` is not an object or
+    lacks one of the keys.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {type(data).__name__}")
+    for key in keys:
         if key not in data:
-            raise ValueError(f"space JSON is missing the {key!r} field")
-    labels = [str(s) for s in data["points"]]
+            raise ValueError(f"{what} is missing the {key!r} field")
+    return [data[key] for key in keys]
+
+
+def _json_convert(convert, value, what: str, key: str):
+    """convert(value); a value of the wrong type raises ValueError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} field {key!r} is invalid: {exc}") from None
+
+
+def _parse_json(text: str):
+    """json.loads, with nesting too deep for the parser reported as ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply to parse") from None
+
+
+def _float_array(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
+def space_from_json_dict(data: dict, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
+    what = "space JSON"
+    name, points, matrix = _json_fields(data, what, ("name", "points", "matrix"))
+    labels = _json_convert(lambda v: [str(s) for s in v], points, what, "points")
+    matrix = _json_convert(_float_array, matrix, what, "matrix")
     return validate_metric(
-        data["matrix"], kind="pseudometric", tol=tol, labels=labels,
-        name=str(data["name"]),
+        matrix, kind="pseudometric", tol=tol, labels=labels, name=str(name),
     )
 
 
@@ -266,7 +299,7 @@ def load_space(path: str | Path, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     p = Path(path)
     text = p.read_text()
     if text.lstrip().startswith("{"):
-        return space_from_json_dict(json.loads(text), tol=tol)
+        return space_from_json_dict(_parse_json(text), tol=tol)
     return space_from_text(text, tol=tol, name=p.stem)
 
 

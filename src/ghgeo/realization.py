@@ -25,7 +25,6 @@ certified on the chosen parameter grid only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +43,10 @@ from .geodesic import pullback_matrices
 from .metric_core import (
     DEFAULT_TOL,
     FiniteMetricSpace,
+    _float_array,
+    _json_convert,
+    _json_fields,
+    _parse_json,
     max_triangle_deficit,
     validate_metric,
 )
@@ -51,6 +54,9 @@ from .metric_core import (
 # restriction / fiber identities hold by construction; they are checked at
 # a much tighter tolerance than the triangle and Hausdorff certificates
 IDENTITY_TOL = 1e-12
+
+# number of parameter values in the default uniform grid on [0, 1]
+DEFAULT_GRID_SIZE = 11
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +195,9 @@ class ParamGrid:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def uniform(cls, count: int = 11, a: float = 0.0, b: float = 1.0) -> "ParamGrid":
+    def uniform(
+        cls, count: int = DEFAULT_GRID_SIZE, a: float = 0.0, b: float = 1.0
+    ) -> "ParamGrid":
         if count < 2:
             raise ValueError("a grid needs at least two values")
         return cls(tuple(np.linspace(a, b, count).tolist()))
@@ -649,7 +657,7 @@ def realize_geodesic(
         c = float(c_override)
     family = RectilinearFamily.from_correspondence(R, x, y)
     if grid is None:
-        grid = ParamGrid.uniform(11)
+        grid = ParamGrid.uniform()
     prod = build_product(family, c, grid, tol=tol, force=force)
     report = verify_product(prod, tol=tol)
     return prod, report
@@ -666,17 +674,16 @@ def product_from_json_dict(data: dict) -> ProductSpace:
     at the grid values), points are permuted into canonical slice-major
     order, and nothing is verified here; run verify_product afterwards.
     """
-    if "product" in data:
+    if isinstance(data, dict) and "product" in data:
         data = data["product"]
-    for key in ("c", "grid", "points", "matrix"):
-        if key not in data:
-            raise ValueError(f"product JSON is missing the {key!r} field")
-    c = float(data["c"])
-    if c <= 0:
+    what = "product JSON"
+    c, grid, pts, mat = _json_fields(data, what, ("c", "grid", "points", "matrix"))
+    c = _json_convert(float, c, what, "c")
+    if not c > 0:  # also rejects NaN, which would zero every c-dependent error
         raise NonpositiveC(f"c = {c!r} must be positive")
-    grid = ParamGrid(tuple(float(t) for t in data["grid"]))
-    pts = data["points"]
-    mat = np.array(data["matrix"], dtype=float)
+    grid = ParamGrid(_json_convert(lambda v: tuple(float(t) for t in v), grid, what, "grid"))
+    pts = _json_convert(list, pts, what, "points")
+    mat = _json_convert(_float_array, mat, what, "matrix")
     n = len(pts)
     if mat.shape != (n, n):
         raise ValueError(f"matrix shape {mat.shape} does not match {n} points")
@@ -689,7 +696,11 @@ def product_from_json_dict(data: dict) -> ProductSpace:
     labels: list[str | None] = [None] * z
     where: dict[tuple[int, int], int] = {}
     for file_idx, p in enumerate(pts):
-        zi, t, label = int(p["z"]), float(p["t"]), str(p["label"])
+        where_p = f"product JSON point {file_idx}"
+        zi, t, label = _json_fields(p, where_p, ("z", "t", "label"))
+        zi = _json_convert(int, zi, where_p, "z")
+        t = _json_convert(float, t, where_p, "t")
+        label = str(label)
         if not 0 <= zi < z:
             raise ValueError(f"point z index {zi} out of range")
         if t not in pos_of:
@@ -715,4 +726,4 @@ def product_from_json_dict(data: dict) -> ProductSpace:
 
 
 def load_product(path: str | Path) -> ProductSpace:
-    return product_from_json_dict(json.loads(Path(path).read_text()))
+    return product_from_json_dict(_parse_json(Path(path).read_text()))

@@ -38,7 +38,7 @@ from ghgeo import (
     realize_geodesic,
     validate_metric,
 )
-from ghgeo.cli import EXIT_INPUT_ERROR, EXIT_OK, build_parser, config_from_args, run
+from ghgeo.cli import EXIT_INPUT_ERROR, EXIT_OK, run
 
 from instances import planar_pair
 from oracles import naive_gh
@@ -185,7 +185,7 @@ def test_criterion_7_degenerate_path(tmp_path):
         xf.write_text(json.dumps(x.to_json_dict()))
 
         def cli(argv):
-            return run(config_from_args(build_parser().parse_args(argv)))
+            return run(argv)
 
         res = cli(["realize", str(xf), str(xf)])
         assert res.exit_code == EXIT_INPUT_ERROR

@@ -1,17 +1,18 @@
 """Tests for the command-line front end and its exit-code contract."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghgeo import correspondence_from_json_dict, product_from_json_dict, space_from_json_dict
 from ghgeo.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_SEARCH_CAP,
     EXIT_VERIFICATION_FAILED,
-    RunConfig,
-    build_parser,
-    config_from_args,
     main,
     run,
 )
@@ -30,25 +31,30 @@ def space_files(tmp_path):
     return str(x), str(y)
 
 
-def run_argv(argv):
-    return run(config_from_args(build_parser().parse_args(argv)))
+class TestOptionChecks:
+    def test_invalid_values_exit_2(self, space_files):
+        x, y = space_files
+        for argv in (
+            ["realize", x, y, "--grid", "1"],
+            ["realize", x, y, "--tol", "0"],
+            ["dist", x, y, "--iterations", "0"],
+            ["dist", x, y, "--restarts", "0"],
+        ):
+            res = run(argv)
+            assert res.exit_code == EXIT_INPUT_ERROR, argv
+            assert json.loads(res.output)["error"] == "ValueError", argv
 
-
-class TestRunConfig:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="dist", grid_size=1)
-        with pytest.raises(ValueError):
-            RunConfig(command="dist", tol=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(command="dist", iterations=0)
+    def test_checked_before_files_are_read(self):
+        res = run(["dist", "/nonexistent/X.json", "/nonexistent/Y.json", "--iterations", "0"])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        assert "iterations" in json.loads(res.output)["message"]
 
 
 class TestValidateCommand:
     def test_valid_metric(self, tmp_path):
         f = tmp_path / "m.txt"
         f.write_text("0 1\n1 0\n")
-        res = run_argv(["validate", str(f)])
+        res = run(["validate", str(f)])
         assert res.exit_code == EXIT_OK
         payload = json.loads(res.output)
         assert payload["kind"] == "metric"
@@ -57,12 +63,12 @@ class TestValidateCommand:
     def test_invalid_matrix_exits_2(self, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("0 1 3\n1 0 1\n3 1 0\n")
-        res = run_argv(["validate", str(f)])
+        res = run(["validate", str(f)])
         assert res.exit_code == EXIT_INPUT_ERROR
         assert json.loads(res.output)["error"] == "TriangleViolation"
 
     def test_missing_file_exits_2(self):
-        res = run_argv(["validate", "/nonexistent/space.json"])
+        res = run(["validate", "/nonexistent/space.json"])
         assert res.exit_code == EXIT_INPUT_ERROR
 
 
@@ -70,21 +76,21 @@ class TestHausdorffCommand:
     def test_line_space(self, tmp_path):
         f = tmp_path / "line.txt"
         f.write_text("0 1 2\n1 0 1\n2 1 0\n")
-        res = run_argv(["hausdorff", str(f), "--a", "0", "--b", "0,2"])
+        res = run(["hausdorff", str(f), "--a", "0", "--b", "0,2"])
         assert res.exit_code == EXIT_OK
         assert json.loads(res.output)["value"] == 2.0
 
     def test_bad_indices_exit_2(self, tmp_path):
         f = tmp_path / "line.txt"
         f.write_text("0 1 2\n1 0 1\n2 1 0\n")
-        res = run_argv(["hausdorff", str(f), "--a", "0", "--b", "9"])
+        res = run(["hausdorff", str(f), "--a", "0", "--b", "9"])
         assert res.exit_code == EXIT_INPUT_ERROR
 
 
 class TestDistCommand:
     def test_exact(self, space_files):
         x, y = space_files
-        res = run_argv(["dist", x, y, "--exact"])
+        res = run(["dist", x, y, "--exact"])
         assert res.exit_code == EXIT_OK
         payload = json.loads(res.output)
         assert payload["value"] == 0.5
@@ -93,7 +99,7 @@ class TestDistCommand:
 
     def test_heuristic(self, space_files):
         x, y = space_files
-        res = run_argv(["dist", x, y, "--heuristic", "--seed", "5"])
+        res = run(["dist", x, y, "--heuristic", "--seed", "5"])
         assert res.exit_code == EXIT_OK
         payload = json.loads(res.output)
         assert payload["value"] == 0.5
@@ -106,7 +112,7 @@ class TestDistCommand:
         y = tmp_path / "big2.json"
         dump_space(planar_space(1, 6), x)
         dump_space(planar_space(2, 5), y)
-        res = run_argv(["dist", str(x), str(y), "--exact"])
+        res = run(["dist", str(x), str(y), "--exact"])
         assert res.exit_code == EXIT_SEARCH_CAP
         assert json.loads(res.output)["error"] == "SearchSpaceTooLarge"
 
@@ -115,7 +121,7 @@ class TestGeodesicCommand:
     def test_export_slice(self, space_files, tmp_path):
         x, y = space_files
         out = tmp_path / "slice.json"
-        res = run_argv(["geodesic", x, y, "--t", "0.5", "-o", str(out)])
+        res = run(["geodesic", x, y, "--t", "0.5", "-o", str(out)])
         assert res.exit_code == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["name"] == "geodesic(t=0.5)"
@@ -125,13 +131,13 @@ class TestGeodesicCommand:
         x, y = space_files
         corr = tmp_path / "R.json"
         corr.write_text(json.dumps({"m": 2, "n": 2, "pairs": [[0, 0], [1, 1]]}))
-        res = run_argv(["geodesic", x, y, "--t", "0.0", "--corr", str(corr)])
+        res = run(["geodesic", x, y, "--t", "0.0", "--corr", str(corr)])
         assert res.exit_code == EXIT_OK
         assert json.loads(res.output)["matrix"][0][1] == 2.0
 
     def test_bad_t_exits_2(self, space_files):
         x, y = space_files
-        res = run_argv(["geodesic", x, y, "--t", "1.5"])
+        res = run(["geodesic", x, y, "--t", "1.5"])
         assert res.exit_code == EXIT_INPUT_ERROR
 
 
@@ -139,49 +145,49 @@ class TestRealizeAndVerify:
     def test_round_trip(self, space_files, tmp_path):
         x, y = space_files
         out = tmp_path / "prod.json"
-        res = run_argv(["realize", x, y, "-o", str(out)])
+        res = run(["realize", x, y, "-o", str(out)])
         assert res.exit_code == EXIT_OK
         report = json.loads(res.output)
         assert report["passed"] is True
 
-        res2 = run_argv(["verify", str(out)])
+        res2 = run(["verify", str(out)])
         assert res2.exit_code == EXIT_OK
         assert json.loads(res2.output)["passed"] is True
 
     def test_isometric_without_c_exits_2(self, space_files):
         x, _ = space_files
-        res = run_argv(["realize", x, x])
+        res = run(["realize", x, x])
         assert res.exit_code == EXIT_INPUT_ERROR
         assert json.loads(res.output)["error"] == "DegenerateGeodesic"
 
     def test_isometric_with_c_override_passes(self, space_files):
         x, _ = space_files
-        res = run_argv(["realize", x, x, "--c", "1.0"])
+        res = run(["realize", x, x, "--c", "1.0"])
         assert res.exit_code == EXIT_OK
         assert json.loads(res.output)["report"]["passed"] is True
 
     def test_small_c_rejected_without_force(self, space_files):
         x, y = space_files
-        res = run_argv(["realize", x, y, "--c", "0.1"])
+        res = run(["realize", x, y, "--c", "0.1"])
         assert res.exit_code == EXIT_INPUT_ERROR
         assert json.loads(res.output)["error"] == "ConditionFailed"
 
     def test_forced_small_c_fails_verification(self, space_files, tmp_path):
         x, y = space_files
         out = tmp_path / "forced.json"
-        res = run_argv(["realize", x, y, "--c", "0.1", "--force", "-o", str(out)])
+        res = run(["realize", x, y, "--c", "0.1", "--force", "-o", str(out)])
         assert res.exit_code == EXIT_VERIFICATION_FAILED
         # report still written
         payload = json.loads(out.read_text())
         assert payload["report"]["passed"] is False
         assert payload["report"]["max_triangle_violation"] > 0
 
-        res2 = run_argv(["verify", str(out)])
+        res2 = run(["verify", str(out)])
         assert res2.exit_code == EXIT_VERIFICATION_FAILED
 
     def test_custom_grid_size(self, space_files):
         x, y = space_files
-        res = run_argv(["realize", x, y, "--grid", "5"])
+        res = run(["realize", x, y, "--grid", "5"])
         assert res.exit_code == EXIT_OK
         assert len(json.loads(res.output)["product"]["grid"]) == 5
 
@@ -189,12 +195,12 @@ class TestRealizeAndVerify:
 class TestDeterminism:
     def test_byte_identical_output(self, space_files):
         x, y = space_files
-        a = run_argv(["dist", x, y, "--heuristic", "--seed", "7"])
-        b = run_argv(["dist", x, y, "--heuristic", "--seed", "7"])
+        a = run(["dist", x, y, "--heuristic", "--seed", "7"])
+        b = run(["dist", x, y, "--heuristic", "--seed", "7"])
         assert a.output == b.output
 
-        r1 = run_argv(["realize", x, y])
-        r2 = run_argv(["realize", x, y])
+        r1 = run(["realize", x, y])
+        r2 = run(["realize", x, y])
         assert r1.output == r2.output
 
     def test_json_floats_round_trip(self, space_files, tmp_path):
@@ -217,3 +223,157 @@ class TestMainEntry:
         code = main(["dist", x, y, "--exact"])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["value"] == 0.5
+
+
+def assert_contract(res):
+    """Exit code in {0, 1, 2, 3}, JSON on stdout, exit 1 only for a failed report."""
+    assert res.exit_code in (EXIT_OK, EXIT_VERIFICATION_FAILED, EXIT_INPUT_ERROR, EXIT_SEARCH_CAP)
+    payload = json.loads(res.output)
+    if res.exit_code == EXIT_VERIFICATION_FAILED:
+        assert payload.get("report", payload)["passed"] is False
+
+
+class TestMalformedFiles:
+    def test_points_not_a_list_exits_2(self, tmp_path):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"name": "X", "points": 5, "matrix": [[0]]}))
+        res = run(["validate", str(f)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        payload = json.loads(res.output)
+        assert payload["error"] == "ValueError"
+        assert "'points'" in payload["message"]
+
+    def test_product_point_without_label_exits_2(self, space_files, tmp_path):
+        x, y = space_files
+        out = tmp_path / "prod.json"
+        assert run(["realize", x, y, "-o", str(out)]).exit_code == EXIT_OK
+        data = json.loads(out.read_text())
+        del data["product"]["points"][0]["label"]
+        out.write_text(json.dumps(data))
+        res = run(["verify", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        payload = json.loads(res.output)
+        assert payload["error"] == "ValueError"
+        assert "'label'" in payload["message"]
+
+    def test_top_level_not_an_object_exits_2(self, space_files, tmp_path):
+        x, y = space_files
+        f = tmp_path / "five.json"
+        f.write_text("5")
+        for argv in (
+            ["validate", str(f)],
+            ["geodesic", x, y, "--t", "0.5", "--corr", str(f)],
+            ["realize", x, y, "--corr", str(f)],
+            ["verify", str(f)],
+        ):
+            res = run(argv)
+            assert res.exit_code == EXIT_INPUT_ERROR, argv
+            assert "error" in json.loads(res.output), argv
+
+    def test_deeply_nested_json_exits_2(self, space_files, tmp_path):
+        x, y = space_files
+        f = tmp_path / "deep.json"
+        f.write_text('{"name": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        for argv in (
+            ["validate", str(f)],
+            ["geodesic", x, y, "--t", "0.5", "--corr", str(f)],
+            ["verify", str(f)],
+        ):
+            res = run(argv)
+            assert res.exit_code == EXIT_INPUT_ERROR, argv
+            assert "nested too deeply" in json.loads(res.output)["message"], argv
+
+    def test_product_with_nan_c_exits_2(self, space_files, tmp_path):
+        # a NaN scale makes every c-dependent error read 0, so it must not load
+        x, y = space_files
+        out = tmp_path / "prod.json"
+        assert run(["realize", x, y, "-o", str(out)]).exit_code == EXIT_OK
+        data = json.loads(out.read_text())
+        data["product"]["c"] = float("nan")
+        out.write_text(json.dumps(data))
+        res = run(["verify", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        assert json.loads(res.output)["error"] == "NonpositiveC"
+
+    @pytest.mark.parametrize(
+        "loader", [space_from_json_dict, correspondence_from_json_dict, product_from_json_dict]
+    )
+    def test_loaders_reject_non_objects(self, loader):
+        for data in (5, [1, 2], "product", None):
+            with pytest.raises(ValueError, match="must be an object"):
+                loader(data)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one position replaced by a random JSON value, or removed."""
+    path = draw(st.sampled_from(list(_paths(doc))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    x, y = d / "X.json", d / "Y.json"
+    space = {"name": "X", "points": ["a", "b"], "matrix": [[0, 2], [2, 0]]}
+    x.write_text(json.dumps(space))
+    y.write_text(json.dumps({"name": "Y", "points": ["u", "v"], "matrix": [[0, 1], [1, 0]]}))
+    prod = d / "prod.json"
+    assert run(["realize", str(x), str(y), "--grid", "3", "-o", str(prod)]).exit_code == EXIT_OK
+    return {
+        "dir": d, "x": str(x), "y": str(y),
+        "space": space,
+        "corr": {"m": 2, "n": 2, "pairs": [[0, 1], [1, 0]]},
+        "product": json.loads(prod.read_text()),
+    }
+
+
+class TestContractProperty:
+    """Any JSON in any field of an input file keeps the exit-code contract."""
+
+    COMMANDS = {
+        "space": (["validate", "{f}"], ["dist", "{f}", "{y}"],
+                  ["realize", "{f}", "{y}", "--grid", "3"]),
+        "corr": (["geodesic", "{x}", "{y}", "--t", "0.5", "--corr", "{f}"],
+                 ["realize", "{x}", "{y}", "--grid", "3", "--corr", "{f}"]),
+        "product": (["verify", "{f}"],),
+    }
+
+    @pytest.mark.parametrize("kind", ["space", "corr", "product"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_malformed_file(self, contract_files, kind, data):
+        doc = data.draw(mutated(contract_files[kind]))
+        f = contract_files["dir"] / f"{kind}.json"
+        f.write_text(json.dumps(doc))
+        names = dict(f=str(f), x=contract_files["x"], y=contract_files["y"])
+        for argv in self.COMMANDS[kind]:
+            assert_contract(run([a.format(**names) for a in argv]))
