@@ -1,12 +1,17 @@
 """Tests for relations, distortion, and GH distance solvers."""
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghgeo import (
     Correspondence,
+    FiniteMetricSpace,
     HeuristicConfig,
     InvalidRelation,
     NotSurjective,
@@ -22,7 +27,20 @@ from ghgeo import (
 )
 
 from instances import one_point_space, planar_pair, planar_space, two_point_space
-from oracles import naive_gh, naive_surjective_masks
+from oracles import naive_gh, naive_gh_heuristic, naive_surjective_masks
+
+DATA_DIR = Path(__file__).parent / "data"
+
+
+@st.composite
+def symmetric_zero_diagonal(draw, size: int):
+    """An exactly symmetric matrix with zero diagonal; small integers give ties."""
+    entry = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 4.0))
+    d = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            d[i][j] = d[j][i] = draw(entry)
+    return d
 
 
 def two_v_two():
@@ -235,3 +253,31 @@ class TestHeuristic:
         y = planar_space(22, 3)
         res = gh_distance_heuristic(x, y)
         assert res.value == 0.5 * distortion(res.witness, x, y)
+
+    def test_golden_file_reproduced_exactly(self):
+        data = json.loads((DATA_DIR / "heuristic_golden.json").read_text())
+        for inst in data["instances"]:
+            x = validate_metric(inst["X"])
+            y = validate_metric(inst["Y"])
+            res = gh_distance_heuristic(x, y, HeuristicConfig(**inst["config"]))
+            assert res.value == inst["value"], inst["seed"]
+            assert res.witness.to_json_dict()["pairs"] == inst["witness"], inst["seed"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 8),
+        n=st.integers(1, 8),
+        iterations=st.one_of(st.integers(1, 4), st.just(1000)),
+        seed=st.integers(0, 2**32 - 1),
+        restarts=st.integers(1, 5),
+    )
+    def test_matches_table_oracle(self, data, m, n, iterations, seed, restarts):
+        dx = data.draw(symmetric_zero_diagonal(m))
+        dy = data.draw(symmetric_zero_diagonal(n))
+        x = FiniteMetricSpace(tuple(f"x{i}" for i in range(m)), dx)
+        y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), dy)
+        res = gh_distance_heuristic(x, y, HeuristicConfig(iterations, seed, restarts))
+        value, pairs = naive_gh_heuristic(dx, dy, iterations, seed, restarts)
+        assert res.value == value
+        assert res.witness.sorted_pairs() == pairs
