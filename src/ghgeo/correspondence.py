@@ -367,73 +367,96 @@ class HeuristicConfig:
             raise ValueError("restarts must be >= 1")
 
 
-def _descend(delta, m: int, n: int, codes: set[int], max_steps: int) -> tuple[float, set[int]]:
-    """First-improvement hill climbing on distortion.
+class _DeltaRows:
+    """delta[code] for one code at a time, computed from the two distance
+    matrices: the rows of _delta_table without the (mn)^2 table."""
 
-    Moves are scanned in a fixed order: remove a pair (surjectivity
-    permitting), then swap a pair for an absent one.  Adding a pair is never
-    a move, since distortion is monotone under inclusion.
+    def __init__(self, x: FiniteMetricSpace, y: FiniteMetricSpace):
+        self.dx = x.dist
+        self.dy = y.dist
+
+    def __getitem__(self, code: int) -> list[float]:
+        i, j = divmod(code, self.dy.shape[0])
+        return np.abs(self.dx[i][:, None] - self.dy[j][None, :]).ravel().tolist()
+
+
+def _member_deltas(views, n: int, members: np.ndarray) -> np.ndarray:
+    """D[q, b] = delta between slot q and member b, the larger of its two
+    orientations when a matrix is not exactly symmetric."""
+    ui, uj = np.divmod(members, n)
+    d = None
+    for dx, dy in views:
+        e = dx[:, ui][:, None, :] - dy[:, uj][None, :, :]
+        np.abs(e, out=e)
+        d = e if d is None else np.maximum(d, e, out=d)
+    return d.reshape(-1, len(members))
+
+
+def _top2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row maximum, the column holding it, and the maximum of the other
+    columns (-inf for one column).  ``a`` is restored before returning."""
+    rows = np.arange(a.shape[0])
+    at = a.argmax(axis=1)
+    top = a[rows, at]
+    a[rows, at] = -np.inf
+    second = a.max(axis=1)
+    a[rows, at] = top
+    return top, at, second
+
+
+def _first_move(
+    d: np.ndarray, cur: float, diag: np.ndarray, members: np.ndarray, m: int, n: int
+) -> np.ndarray | None:
+    """The members after the first improving move, or None at a local minimum.
+
+    Moves are scanned in a fixed order: remove a member (surjectivity
+    permitting), then swap a member for an absent slot; members and slots
+    ascending, strict improvement only.  Adding a slot is never a move, since
+    distortion is monotone under inclusion.
     """
-    mn = m * n
-    row_of = [k // n for k in range(mn)]
-    col_of = [k % n for k in range(mn)]
-    row_count = [0] * m
-    col_count = [0] * n
-    for p in codes:
-        row_count[row_of[p]] += 1
-        col_count[col_of[p]] += 1
-    cur = _dis_codes(delta, codes)
+    rows, cols = np.divmod(members, n)
+    row_short = np.bincount(rows, minlength=m)[rows] < 2
+    col_short = np.bincount(cols, minlength=n)[cols] < 2
+    # dis(R - {p}) for every member p, from the top two of each row of the
+    # member block: row a without column p keeps its top unless p holds it
+    top, top_at, second = _top2(d[members])
+    own = np.arange(len(members))
+    rest = np.where(top_at[:, None] == own, second[:, None], top[:, None])
+    rest[own, own] = -np.inf
+    base = rest.max(axis=0)
+    hit = np.flatnonzero(~row_short & ~col_short & (base < cur))
+    if hit.size:
+        return np.delete(members, hit[0])
+    # max over u in R - {p} of delta[q][u] for every slot q, the same way
+    top, top_at, second = _top2(d)
+    open_slots = diag < cur
+    open_slots[members] = False
+    slot_rows, slot_cols = np.divmod(np.arange(m * n), n)
+    for b in np.flatnonzero(base < cur):
+        ok = open_slots & (np.where(top_at == b, second, top) < cur)
+        if row_short[b]:
+            ok &= slot_rows == rows[b]
+        if col_short[b]:
+            ok &= slot_cols == cols[b]
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            return np.sort(np.append(np.delete(members, b), hit[0]))
+    return None
+
+
+def _descend(views, diag: np.ndarray, m: int, n: int, codes, max_steps: int) -> tuple[float, set[int]]:
+    """First-improvement hill climbing on distortion, at most ``max_steps``
+    moves.  Each step scores every move from one (mn) x |R| array."""
+    members = np.array(sorted(codes))
     steps = 0
-
-    def apply(removed: int, added: int | None) -> None:
-        codes.discard(removed)
-        row_count[row_of[removed]] -= 1
-        col_count[col_of[removed]] -= 1
-        if added is not None:
-            codes.add(added)
-            row_count[row_of[added]] += 1
-            col_count[col_of[added]] += 1
-
-    while steps < max_steps:
-        improved = False
-        members = sorted(codes)
-        # removals
-        for p in members:
-            if row_count[row_of[p]] < 2 or col_count[col_of[p]] < 2:
-                continue
-            d2 = _dis_codes(delta, codes - {p})
-            if d2 < cur:
-                apply(p, None)
-                cur = d2
-                improved = True
-                break
-        if not improved:
-            # swaps
-            for p in members:
-                rest = codes - {p}
-                base = _dis_codes(delta, rest)
-                if base >= cur:
-                    continue
-                for q in range(mn):
-                    if q in codes:
-                        continue
-                    keeps_rows = row_count[row_of[p]] >= 2 or row_of[q] == row_of[p]
-                    keeps_cols = col_count[col_of[p]] >= 2 or col_of[q] == col_of[p]
-                    if not (keeps_rows and keeps_cols):
-                        continue
-                    row = delta[q]
-                    d2 = max(base, max((row[u] for u in rest), default=0.0))
-                    if d2 < cur:
-                        apply(p, q)
-                        cur = d2
-                        improved = True
-                        break
-                if improved:
-                    break
-        if not improved:
-            break
+    while True:
+        d = _member_deltas(views, n, members)
+        cur = float(d[members].max())
+        moved = _first_move(d, cur, diag, members, m, n) if steps < max_steps else None
+        if moved is None:
+            return cur, set(members.tolist())
+        members = moved
         steps += 1
-    return cur, codes
 
 
 def _random_codes(rng, m: int, n: int) -> set[int]:
@@ -466,20 +489,25 @@ def gh_distance_heuristic(
 
     cfg = config or HeuristicConfig()
     m, n = len(x), len(y)
-    delta = _delta_table(x, y)
+    # the objective is distortion()'s own maximum: both orientations of every
+    # pair of members, and each member with itself
+    views = [(x.dist, y.dist)]
+    if not (np.array_equal(x.dist, x.dist.T) and np.array_equal(y.dist, y.dist.T)):
+        views.append((x.dist.T, y.dist.T))
+    diag = np.abs(np.diag(x.dist)[:, None] - np.diag(y.dist)[None, :]).ravel()
     rng = random.Random(cfg.seed)
 
     best_dis = None
     best_codes: set[int] = set()
     for restart in range(cfg.restarts):
         if restart == 0:
-            codes = set(_greedy_codes(x, y, delta))
+            codes = _greedy_codes(x, y, _DeltaRows(x, y))
         else:
             codes = _random_codes(rng, m, n)
-        dis_val, codes = _descend(delta, m, n, codes, cfg.iterations)
+        dis_val, codes = _descend(views, diag, m, n, codes, cfg.iterations)
         if best_dis is None or dis_val < best_dis:
             best_dis = dis_val
-            best_codes = set(codes)
+            best_codes = codes
         if best_dis == 0.0:
             break
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,38 @@ class TestHeuristic:
         y = planar_space(22, 3)
         res = gh_distance_heuristic(x, y)
         assert res.value == 0.5 * distortion(res.witness, x, y)
+
+    def test_value_is_half_witness_distortion_when_symmetric_within_tol(self):
+        # validate_metric accepts asymmetry up to tol; the objective reads
+        # both orientations, as distortion() does
+        x = validate_metric([[0, 1 + 5e-10, 2], [1, 0, 1.5], [2, 1.5, 0]])
+        y = validate_metric([[0, 1], [1, 0]])
+        for a, b in ((x, y), (y, x)):
+            res = gh_distance_heuristic(a, b)
+            assert res.value == 0.5 * distortion(res.witness, a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 6))
+    def test_value_is_half_witness_distortion_on_any_matrix(self, data, m, n):
+        entry = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 4.0))
+        dx = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+        dy = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        x = FiniteMetricSpace(tuple(f"x{i}" for i in range(m)), dx)
+        y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), dy)
+        res = gh_distance_heuristic(x, y, HeuristicConfig(iterations=50, restarts=2))
+        assert res.value == 0.5 * distortion(res.witness, x, y)
+
+    @pytest.mark.parametrize("size, limit_mib", [(40, 8), (100, 64)])
+    def test_peak_memory(self, size, limit_mib):
+        # the (mn)^2 delta table alone took 97.7 MiB at 40 x 40
+        x, y = planar_space(1, size), planar_space(2, size)
+        tracemalloc.start()
+        try:
+            gh_distance_heuristic(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
     def test_golden_file_reproduced_exactly(self):
         data = json.loads((DATA_DIR / "heuristic_golden.json").read_text())
