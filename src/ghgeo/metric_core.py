@@ -131,7 +131,8 @@ def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
 
     Returns the deficit and the first triple (i, j, k) attaining it.  The
     value is >= 0 for any matrix with zero diagonal (degenerate triples give
-    exactly zero) and exceeds zero only on genuine violations.
+    exactly zero) and exceeds zero only on genuine violations.  A NaN entry
+    makes the deficit NaN, with the first triple that meets one.
     """
     d = np.asarray(matrix, dtype=float)
     n = d.shape[0]
@@ -141,10 +142,18 @@ def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
         v = d - (d[:, k : k + 1] + d[k : k + 1, :])
         flat = int(np.argmax(v))
         m = float(v.flat[flat])
+        if math.isnan(m):  # argmax stops at the first NaN
+            return m, (flat // n, flat % n, k)
         if m > worst:
             worst = m
             witness = (flat // n, flat % n, k)
     return worst, witness
+
+
+def _check_tol(tol: float) -> None:
+    """Every axiom check reads ``value > tol``, which a NaN tol never fails."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol = {tol!r} must be finite and >= 0")
 
 
 def validate_metric(
@@ -159,8 +168,9 @@ def validate_metric(
     ``kind`` is the weakest kind the caller will accept: demanding "metric"
     rejects zero off-diagonal entries, demanding "pseudometric" allows them.
     The returned space reports the strictest kind that actually holds.
-    All checks use the absolute tolerance ``tol``.
+    All checks use the absolute tolerance ``tol``, a finite number >= 0.
     """
+    _check_tol(tol)
     d = np.array(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NonSquareMatrix(f"expected a square matrix, got shape {d.shape}")

@@ -45,6 +45,7 @@ from .metric_core import (
     FiniteMetricSpace,
     _float_array,
     _json_convert,
+    _check_tol,
     _json_fields,
     _parse_json,
     max_triangle_deficit,
@@ -306,7 +307,7 @@ def check_lipschitz_condition(
     family: InterpolationFamily, c: float, grid: ParamGrid, tol: float = DEFAULT_TOL
 ) -> ConditionCheck:
     """Grid check of | |zz'|_t - |zz'|_s | <= 2c|t-s| + tol over grid pairs."""
-    if c <= 0:
+    if not c > 0:
         raise NonpositiveC(f"c = {c!r} must be positive")
     ts = grid.values
     k = len(ts)
@@ -350,7 +351,7 @@ def check_lipschitz_exact(family: RectilinearFamily, c: float) -> ConditionCheck
     (max|slope| - 2c) * (b - a), which a grid containing both endpoints
     measures identically.
     """
-    if c <= 0:
+    if not c > 0:
         raise NonpositiveC(f"c = {c!r} must be positive")
     slopes = family.slopes
     a = np.abs(slopes)
@@ -392,7 +393,7 @@ def product_distance(
     p2: tuple[int, float],
 ) -> float:
     """Distance between (z1, t) and (z2, s): shortcut minimum plus c|t - s|."""
-    if c <= 0:
+    if not c > 0:
         raise NonpositiveC(f"c = {c!r} must be positive")
     z1, t = p1
     z2, s = p2
@@ -461,8 +462,9 @@ def build_product(
     failure raises ConditionFailed unless ``force`` is set, in which case the
     product is built anyway and verification will report the violations.
     """
-    if c <= 0:
+    if not c > 0:
         raise NonpositiveC(f"c = {c!r} must be positive")
+    _check_tol(tol)
     if grid.a != family.a or grid.b != family.b:
         raise ParameterOutOfRange(
             f"grid spans [{grid.a}, {grid.b}] but the family is defined on "
@@ -575,6 +577,7 @@ def verify_product(prod: ProductSpace, tol: float = DEFAULT_TOL) -> Verification
     restriction and vertical-fiber identities.  Never raises on failures;
     everything is reported.
     """
+    _check_tol(tol)
     d = prod.dist
     z = prod.ground_size
     ts = prod.grid.values
@@ -583,36 +586,33 @@ def verify_product(prod: ProductSpace, tol: float = DEFAULT_TOL) -> Verification
 
     mono, lips = run_condition_checks(prod.family, c, prod.grid, tol)
 
+    # every fold below goes through numpy, so a NaN error is reported as NaN
     tri, tri_wit = max_triangle_deficit(d)
-    tri = max(0.0, tri)
+    tri = float(np.maximum(tri, 0.0))
 
     sym = float(np.abs(d - d.T).max())
     diag = float(np.abs(np.diag(d)).max())
 
-    restr = 0.0
-    for i in range(k):
-        restr = max(
-            restr,
-            float(np.abs(prod.slice_matrix(i) - prod.family.dist_at(ts[i])).max()),
-        )
+    restr = float(np.max([
+        np.abs(prod.slice_matrix(i) - prod.family.dist_at(ts[i])).max() for i in range(k)
+    ]))
 
-    fiber = 0.0
-    dh_err = 0.0
-    md_err = 0.0
+    fiber, dh_err, md_err = [], [], []
     for i in range(k):
         for j in range(i, k):
             target = c * abs(ts[j] - ts[i])
             block = d[i * z : (i + 1) * z, j * z : (j + 1) * z]
-            fiber = max(fiber, float(np.abs(np.diag(block) - target).max()))
-            dh = max(float(block.min(axis=1).max()), float(block.min(axis=0).max()))
-            dh_err = max(dh_err, abs(dh - target))
-            md_err = max(md_err, abs(float(block.min()) - target))
+            fiber.append(np.abs(np.diag(block) - target).max())
+            dh = np.maximum(block.min(axis=1).max(), block.min(axis=0).max())
+            dh_err.append(abs(dh - target))
+            md_err.append(abs(block.min() - target))
+    fiber, dh_err, md_err = (float(np.max(errs)) for errs in (fiber, dh_err, md_err))
 
     return VerificationReport(
         monotone=mono,
         lipschitz=lips,
         max_triangle_violation=tri,
-        triangle_witness=tri_wit if tri > 0.0 else None,
+        triangle_witness=None if tri == 0.0 else tri_wit,
         slice_hausdorff_max_error=dh_err,
         slice_min_distance_max_error=md_err,
         restriction_max_error=restr,
@@ -644,6 +644,7 @@ def realize_geodesic(
     c equals d_GH(X, Y), so the certified slice Hausdorff distances read
     d_H(R_t, R_s) = d_GH(X, Y) * |t - s|.
     """
+    _check_tol(tol)
     dis = distortion(R, x, y)
     if c_override is None:
         if dis == 0.0:
@@ -652,7 +653,7 @@ def realize_geodesic(
             )
         c = 0.5 * dis
     else:
-        if c_override <= 0:
+        if not c_override > 0:
             raise NonpositiveC(f"c = {c_override!r} must be positive")
         c = float(c_override)
     family = RectilinearFamily.from_correspondence(R, x, y)

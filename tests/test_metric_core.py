@@ -84,6 +84,16 @@ class TestValidateMetric:
         space = validate_metric(planar_matrix(rng, n), tol=1e-9)
         assert len(space) == n
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # a NaN tol used to pass every `value > tol` check, so this
+        # asymmetric, triangle-violating matrix came back as a metric
+        with pytest.raises(ValueError):
+            validate_metric([[0, 5, 1], [2, 0, 1], [1, 1, 0]], tol=tol)
+
+    def test_zero_tol_accepts_an_exact_metric(self):
+        assert validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]], tol=0).kind == "metric"
+
     def test_matrix_is_read_only(self):
         space = validate_metric([[0, 1], [1, 0]])
         with pytest.raises(ValueError):

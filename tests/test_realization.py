@@ -1,6 +1,7 @@
 """Tests for the product metric construction, condition checks, and
 verification reports."""
 
+import dataclasses
 import json
 import math
 
@@ -212,6 +213,37 @@ class TestBuildProduct:
         with pytest.raises(NonpositiveC):
             build_product(interp_family(), -1.0, ParamGrid.uniform(5))
 
+    def test_nan_c_rejected(self):
+        # NaN passed `c <= 0`; the product then verified with fiber error 0.0
+        fam = CallableFamily(2, 0, 1, lambda t: [[0, 1], [1, 0]])
+        with pytest.raises(NonpositiveC):
+            build_product(fam, float("nan"), ParamGrid.uniform(3), force=True)
+
+    def test_nan_c_rejected_by_every_check(self):
+        nan = float("nan")
+        with pytest.raises(NonpositiveC):
+            check_lipschitz_condition(sin_family(), nan, ParamGrid.uniform(3))
+        with pytest.raises(NonpositiveC):
+            check_lipschitz_exact(interp_family(), nan)
+        with pytest.raises(NonpositiveC):
+            product_distance(interp_family(), nan, (0, 0.0), (1, 1.0))
+        ident = Correspondence(3, 3, frozenset((i, i) for i in range(3)))
+        with pytest.raises(NonpositiveC):
+            realize_geodesic(line_space(), line_space(), ident, c_override=nan)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        fam = interp_family()
+        with pytest.raises(ValueError):
+            build_product(fam, 1.0, ParamGrid.uniform(3), tol=tol)
+        prod = build_product(fam, 1.0, ParamGrid.uniform(3))
+        with pytest.raises(ValueError):
+            verify_product(prod, tol=tol)
+        x, y = two_point_space(2.0), one_point_space()
+        corr = Correspondence(2, 1, frozenset({(0, 0), (1, 0)}))
+        with pytest.raises(ValueError):
+            realize_geodesic(x, y, corr, tol=tol)
+
     def test_grid_must_span_family_segment(self):
         with pytest.raises(ParameterOutOfRange):
             build_product(interp_family(), 1.0, ParamGrid((0.0, 0.5)))
@@ -249,6 +281,24 @@ class TestVerifyProduct:
         assert report.max_triangle_violation > 0.1
         assert report.triangle_witness is not None
         assert not report.lipschitz.ok
+
+    def test_nan_entry_is_reported_not_dropped(self):
+        fam = interp_family()
+        prod = build_product(fam, 0.5 * fam.max_abs_slope(), ParamGrid.uniform(3))
+        d = prod.dist.copy()
+        d[0, 2] = math.nan  # ground point 0 at t = 0 against itself at t = 0.5
+        report = verify_product(dataclasses.replace(prod, dist=d))
+        assert not report.passed
+        for err in (
+            report.max_triangle_violation,
+            report.slice_hausdorff_max_error,
+            report.slice_min_distance_max_error,
+            report.fiber_max_error,
+            report.symmetry_error,
+        ):
+            assert math.isnan(err)
+        assert report.triangle_witness is not None
+        assert report.restriction_max_error == 0.0
 
     def test_triangle_scan_matches_naive_triple_loop(self):
         from oracles import naive_triangle_max
