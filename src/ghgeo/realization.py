@@ -43,9 +43,9 @@ from .geodesic import pullback_matrices
 from .metric_core import (
     DEFAULT_TOL,
     FiniteMetricSpace,
+    _check_tol,
     _float_array,
     _json_convert,
-    _check_tol,
     _json_fields,
     _parse_json,
     max_triangle_deficit,
@@ -603,7 +603,8 @@ def verify_product(prod: ProductSpace, tol: float = DEFAULT_TOL) -> Verification
             target = c * abs(ts[j] - ts[i])
             block = d[i * z : (i + 1) * z, j * z : (j + 1) * z]
             fiber.append(np.abs(np.diag(block) - target).max())
-            dh = np.maximum(block.min(axis=1).max(), block.min(axis=0).max())
+            # a NaN in the block makes both terms NaN, so max() keeps it
+            dh = max(float(block.min(axis=1).max()), float(block.min(axis=0).max()))
             dh_err.append(abs(dh - target))
             md_err.append(abs(block.min() - target))
     fiber, dh_err, md_err = (float(np.max(errs)) for errs in (fiber, dh_err, md_err))
