@@ -2,8 +2,10 @@
 verification reports."""
 
 import dataclasses
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from ghgeo import (
 )
 
 from instances import line_space, one_point_space, planar_pair, two_point_space
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def interp_family():
@@ -440,3 +444,10 @@ class TestProductFormat:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
             product_from_json_dict({"c": 1.0, "grid": [0.0, 1.0], "points": []})
+
+
+class TestGoldenProducts:
+    def test_golden_file_reproduced_byte_for_byte(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(DATA_DIR))
+        generator = importlib.import_module("generate_realization_golden")
+        assert generator.render() == (DATA_DIR / "realization_golden.json").read_text()
