@@ -145,14 +145,20 @@ def _check_sizes(rel: Relation, x: FiniteMetricSpace, y: FiniteMetricSpace) -> N
         )
 
 
-def distortion(rel: Relation, x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
-    """max | |xx'| - |yy'| | over pairs of elements of the relation."""
+def _pullback(
+    rel: Relation, x: FiniteMetricSpace, y: FiniteMetricSpace
+) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """The sorted pairs of the relation and the X and Y distances between them."""
     _check_sizes(rel, x, y)
     ps = rel.sorted_pairs()
     xi = [i for i, _ in ps]
     yj = [j for _, j in ps]
-    dx = x.dist[np.ix_(xi, xi)]
-    dy = y.dist[np.ix_(yj, yj)]
+    return ps, x.dist[np.ix_(xi, xi)], y.dist[np.ix_(yj, yj)]
+
+
+def distortion(rel: Relation, x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
+    """max | |xx'| - |yy'| | over pairs of elements of the relation."""
+    _, dx, dy = _pullback(rel, x, y)
     return float(np.abs(dx - dy).max())
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .correspondence import (
     Correspondence,
-    _check_sizes,
+    _pullback,
     _require_within_cap,
     distortion,
     gh_distance_exact,
@@ -40,12 +40,7 @@ def pullback_matrices(
     Elements of R are ordered by sorted pair; labels are composed as
     "(<x label>,<y label>)".
     """
-    _check_sizes(R, x, y)
-    ps = R.sorted_pairs()
-    xi = [i for i, _ in ps]
-    yj = [j for _, j in ps]
-    dx = x.dist[np.ix_(xi, xi)]
-    dy = y.dist[np.ix_(yj, yj)]
+    ps, dx, dy = _pullback(R, x, y)
     labels = tuple(f"({x.labels[i]},{y.labels[j]})" for i, j in ps)
     return dx, dy, labels
 

@@ -126,27 +126,68 @@ class PointSubset:
 # validation
 # ---------------------------------------------------------------------------
 
+# largest temporary of a blocked kernel (the triangle scan's value pass, the
+# product build), in float64 elements: 1 MiB
+BLOCK_ELEMENTS = 1 << 17
+
+
+def _min_plus_deficit(d: np.ndarray) -> float:
+    """max_{i,j} (d[i][j] - min_k (d[i][k] + d[k][j])) for a finite matrix.
+
+    Equal to the worst deficit over all triples: the min-plus product holds
+    one of the very sums the triple scan subtracts, and rounding of d - s is
+    monotone in s.  An exactly symmetric d has a symmetric min-plus product,
+    so each block of rows starting at row r needs only the columns j >= r.
+    The block's sums live in one reused buffer of at most
+    BLOCK_ELEMENTS elements (or one row, if a row is larger).
+    """
+    n = d.shape[0]
+    dT = np.ascontiguousarray(d.T)
+    symmetric = bool((d == dT).all())
+    buf = np.empty(max(n * n, min(BLOCK_ELEMENTS, n**3)))
+    worst = -math.inf
+    r = 0
+    while r < n:
+        c0 = r if symmetric else 0
+        rows = max(1, min(n - r, buf.size // ((n - c0) * n)))
+        sums = buf[: rows * (n - c0) * n].reshape(rows, n - c0, n)
+        np.add(d[r : r + rows, None, :], dT[None, c0:, :], out=sums)
+        deficit = d[r : r + rows, c0:] - np.minimum.reduce(sums, axis=2)
+        worst = max(worst, float(deficit.max()))
+        r += rows
+    return worst
+
+
 def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
     """Worst triangle deficit max_{i,j,k} (d[i][j] - d[i][k] - d[k][j]).
 
-    Returns the deficit and the first triple (i, j, k) attaining it.  The
-    value is >= 0 for any matrix with zero diagonal (degenerate triples give
-    exactly zero) and exceeds zero only on genuine violations.  A NaN entry
-    makes the deficit NaN, with the first triple that meets one.
+    Returns the deficit and the first triple (i, j, k) attaining it, in the
+    order k ascending, then i * n + j.  The value is >= 0 for any matrix with
+    zero diagonal (degenerate triples give exactly zero) and exceeds zero
+    only on genuine violations.  A NaN entry makes the deficit NaN, with the
+    first triple that meets one.
+
+    A finite matrix costs one min-plus pass for the value and a scan over k
+    that stops at the first k attaining it (at once on an exact metric,
+    where k = 0 already gives 0).  Non-finite matrices take the full scan.
     """
     d = np.asarray(matrix, dtype=float)
     n = d.shape[0]
-    worst = -math.inf
-    witness = (0, 0, 0)
-    for k in range(n):
-        v = d - (d[:, k : k + 1] + d[k : k + 1, :])
-        flat = int(np.argmax(v))
-        m = float(v.flat[flat])
-        if math.isnan(m):  # argmax stops at the first NaN
-            return m, (flat // n, flat % n, k)
-        if m > worst:
-            worst = m
-            witness = (flat // n, flat % n, k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        target = _min_plus_deficit(d) if n and np.isfinite(d).all() else None
+        worst = -math.inf
+        witness = (0, 0, 0)
+        for k in range(n):
+            v = d - (d[:, k : k + 1] + d[k : k + 1, :])
+            flat = int(np.argmax(v))
+            m = float(v.flat[flat])
+            if math.isnan(m):  # argmax stops at the first NaN
+                return m, (flat // n, flat % n, k)
+            if m > worst:
+                worst = m
+                witness = (flat // n, flat % n, k)
+                if m == target:
+                    break
     return worst, witness
 
 

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .geodesic import pullback_matrices
 from .metric_core import (
+    BLOCK_ELEMENTS,
     DEFAULT_TOL,
     FiniteMetricSpace,
     _check_tol,
@@ -222,6 +223,16 @@ class ParamGrid:
 # condition checks
 # ---------------------------------------------------------------------------
 
+def _check_c(c: float) -> None:
+    """The vertical scale must be finite and > 0.
+
+    A NaN c would turn every c-dependent error into NaN or 0, and an
+    infinite one makes each same-slice block inf * 0 = NaN.
+    """
+    if not 0.0 < c < math.inf:
+        raise NonpositiveC(f"c = {c!r} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ConditionWitness:
     """Ground pair (z1, z2) and parameters (t, s) where a check is worst."""
@@ -278,28 +289,25 @@ def check_monotone_condition(
     z = family.ground_size
     drop = np.zeros((z, z))
     rise = np.zeros((z, z))
-    for a in range(k):
-        for b in range(a + 1, k):
-            d = f[a] - f[b]
-            np.maximum(drop, d, out=drop)
-            np.maximum(rise, -d, out=rise)
+    for a in range(k - 1):
+        diff = f[a] - f[a + 1 :]  # against every later grid value at once
+        np.maximum(drop, diff.max(axis=0), out=drop)
+        np.maximum(rise, -diff.min(axis=0), out=rise)
     viol = np.minimum(drop, rise)
-    worst = max(0.0, float(viol.max()))
+    worst = float(viol.max())
+    if worst <= 0.0:  # a NaN stays NaN
+        worst = 0.0
     witness = None
     if worst > 0.0:
         z1, z2 = np.unravel_index(int(np.argmax(viol)), viol.shape)
         z1, z2 = int(z1), int(z2)
-        want_drop = drop[z1, z2] <= rise[z1, z2]
-        best = -math.inf
-        at = (0, 1)
-        for a in range(k):
-            for b in range(a + 1, k):
-                d = f[a, z1, z2] - f[b, z1, z2]
-                v = d if want_drop else -d
-                if v > best:
-                    best = v
-                    at = (a, b)
-        witness = ConditionWitness(z1, z2, ts[at[0]], ts[at[1]])
+        g = f[:, z1, z2]
+        v = g[:, None] - g[None, :]  # v[a, b] = f[a] - f[b], read for a < b
+        if not drop[z1, z2] <= rise[z1, z2]:
+            v = -v
+        v[np.tril_indices(k)] = -math.inf
+        a, b = np.unravel_index(int(np.argmax(v)), v.shape)
+        witness = ConditionWitness(z1, z2, ts[a], ts[b])
     return ConditionCheck("monotone", "grid", worst <= tol, worst, witness, tol)
 
 
@@ -307,25 +315,29 @@ def check_lipschitz_condition(
     family: InterpolationFamily, c: float, grid: ParamGrid, tol: float = DEFAULT_TOL
 ) -> ConditionCheck:
     """Grid check of | |zz'|_t - |zz'|_s | <= 2c|t-s| + tol over grid pairs."""
-    if not c > 0:
-        raise NonpositiveC(f"c = {c!r} must be positive")
+    _check_c(c)
     ts = grid.values
+    tv = np.array(ts)
     k = len(ts)
     f = np.stack([family.dist_at(t) for t in ts])
     raw = -math.inf
-    slope_max = 0.0
+    slopes = []
     at = None
-    for a in range(k):
-        for b in range(a + 1, k):
-            dt = ts[b] - ts[a]
-            g = np.abs(f[a] - f[b])
-            slope_max = max(slope_max, float(g.max()) / dt)
-            deficit = g - 2.0 * c * dt
-            m = float(deficit.max())
-            if m > raw:
-                raw = m
-                z1, z2 = np.unravel_index(int(np.argmax(deficit)), deficit.shape)
-                at = (int(z1), int(z2), a, b)
+    for a in range(k - 1):
+        dt = tv[a + 1 :] - tv[a]  # against every later grid value at once
+        g = np.abs(f[a] - f[a + 1 :])
+        slopes.append((g.max(axis=(1, 2)) / dt).max())
+        deficit = g - (2.0 * c * dt)[:, None, None]
+        flat = int(np.argmax(deficit))  # first in (b, z1, z2) order
+        m = float(deficit.flat[flat])
+        if math.isnan(m):
+            raw = m
+            break
+        if m > raw:
+            raw = m
+            b, z1, z2 = np.unravel_index(flat, deficit.shape)
+            at = (int(z1), int(z2), a, a + 1 + int(b))
+    slope_max = float(np.max(slopes))
     witness = None
     if raw > 0.0 and at is not None:
         z1, z2, a, b = at
@@ -334,9 +346,8 @@ def check_lipschitz_condition(
         else:
             t, s = ts[b], ts[a]
         witness = ConditionWitness(z1, z2, t, s)
-    return ConditionCheck(
-        "lipschitz", "grid", raw <= tol, max(0.0, raw), witness, tol, slope_max
-    )
+    worst = 0.0 if raw <= 0.0 else raw  # a NaN stays NaN
+    return ConditionCheck("lipschitz", "grid", raw <= tol, worst, witness, tol, slope_max)
 
 
 def check_monotone_exact(family: RectilinearFamily) -> ConditionCheck:
@@ -351,8 +362,7 @@ def check_lipschitz_exact(family: RectilinearFamily, c: float) -> ConditionCheck
     (max|slope| - 2c) * (b - a), which a grid containing both endpoints
     measures identically.
     """
-    if not c > 0:
-        raise NonpositiveC(f"c = {c!r} must be positive")
+    _check_c(c)
     slopes = family.slopes
     a = np.abs(slopes)
     smax = float(a.max())
@@ -393,8 +403,7 @@ def product_distance(
     p2: tuple[int, float],
 ) -> float:
     """Distance between (z1, t) and (z2, s): shortcut minimum plus c|t - s|."""
-    if not c > 0:
-        raise NonpositiveC(f"c = {c!r} must be positive")
+    _check_c(c)
     z1, t = p1
     z2, s = p2
     for z in (z1, z2):
@@ -462,8 +471,7 @@ def build_product(
     failure raises ConditionFailed unless ``force`` is set, in which case the
     product is built anyway and verification will report the violations.
     """
-    if not c > 0:
-        raise NonpositiveC(f"c = {c!r} must be positive")
+    _check_c(c)
     _check_tol(tol)
     if grid.a != family.a or grid.b != family.b:
         raise ParameterOutOfRange(
@@ -481,14 +489,20 @@ def build_product(
     z = family.ground_size
     k = len(grid)
     n = z * k
+    ts = np.array(grid.values)
+    stacked = np.stack(slices)
+    step = max(1, BLOCK_ELEMENTS // z**3)  # blocks per broadcast
     d = np.zeros((n, n))
     for i in range(k):
-        for j in range(i, k):
-            gap = c * abs(grid.values[j] - grid.values[i])
-            block = (slices[i][:, :, None] + slices[j][None, :, :]).min(axis=1) + gap
-            d[i * z : (i + 1) * z, j * z : (j + 1) * z] = block
-            if j != i:
-                d[j * z : (j + 1) * z, i * z : (i + 1) * z] = block.T
+        for j in range(i, k, step):
+            # blocks[b - j, :, :] = min_m (rho_i[:, m] + rho_b[m, :]) + c|t_b - t_i|
+            gaps = c * np.abs(ts[j : j + step] - ts[i])
+            sums = slices[i][None, :, :, None] + stacked[j : j + step, None, :, :]
+            blocks = sums.min(axis=2) + gaps[:, None, None]
+            rows, cols = slice(i * z, (i + 1) * z), slice(j * z, (j + len(gaps)) * z)
+            # mirror first, so the diagonal block is the untransposed one
+            d[cols, rows] = blocks.transpose(0, 2, 1).reshape(-1, z)
+            d[rows, cols] = blocks.transpose(1, 0, 2).reshape(z, -1)
     d.setflags(write=False)
     points = tuple((zz, t) for t in grid.values for zz in range(z))
     return ProductSpace(
@@ -584,30 +598,33 @@ def verify_product(prod: ProductSpace, tol: float = DEFAULT_TOL) -> Verification
     k = len(ts)
     c = prod.c
 
-    mono, lips = run_condition_checks(prod.family, c, prod.grid, tol)
+    # every fold below goes through numpy, so a NaN error is reported as NaN;
+    # numpy's warnings about it would only repeat the report
+    with np.errstate(invalid="ignore"):
+        mono, lips = run_condition_checks(prod.family, c, prod.grid, tol)
 
-    # every fold below goes through numpy, so a NaN error is reported as NaN
-    tri, tri_wit = max_triangle_deficit(d)
-    tri = float(np.maximum(tri, 0.0))
+        tri, tri_wit = max_triangle_deficit(d)
+        tri = float(np.maximum(tri, 0.0))
 
-    sym = float(np.abs(d - d.T).max())
-    diag = float(np.abs(np.diag(d)).max())
+        sym = float(np.abs(d - d.T).max())
+        diag = float(np.abs(np.diag(d)).max())
 
-    restr = float(np.max([
-        np.abs(prod.slice_matrix(i) - prod.family.dist_at(ts[i])).max() for i in range(k)
-    ]))
+        restr = float(np.max([
+            np.abs(prod.slice_matrix(i) - prod.family.dist_at(ts[i])).max() for i in range(k)
+        ]))
 
-    fiber, dh_err, md_err = [], [], []
-    for i in range(k):
-        for j in range(i, k):
-            target = c * abs(ts[j] - ts[i])
-            block = d[i * z : (i + 1) * z, j * z : (j + 1) * z]
-            fiber.append(np.abs(np.diag(block) - target).max())
-            # a NaN in the block makes both terms NaN, so max() keeps it
-            dh = max(float(block.min(axis=1).max()), float(block.min(axis=0).max()))
-            dh_err.append(abs(dh - target))
-            md_err.append(abs(block.min() - target))
-    fiber, dh_err, md_err = (float(np.max(errs)) for errs in (fiber, dh_err, md_err))
+        # blocks[i, a, j, b] is the distance from (a, t_i) to (b, t_j); only
+        # the blocks with i <= j are read
+        blocks = d.reshape(k, z, k, z)
+        upper = np.triu(np.ones((k, k), dtype=bool))
+        t = np.array(ts)
+        target = (c * np.abs(t[None, :] - t[:, None]))[upper]
+        fiber = np.abs(blocks.diagonal(axis1=1, axis2=3)[upper] - target[:, None])
+        # a NaN in a block makes both directed readings NaN, and so its dh
+        dh = np.maximum(blocks.min(axis=3).max(axis=1), blocks.min(axis=1).max(axis=2))
+        dh_err = np.abs(dh[upper] - target)
+        md_err = np.abs(blocks.min(axis=(1, 3))[upper] - target)
+        fiber, dh_err, md_err = (float(errs.max()) for errs in (fiber, dh_err, md_err))
 
     return VerificationReport(
         monotone=mono,
@@ -654,8 +671,7 @@ def realize_geodesic(
             )
         c = 0.5 * dis
     else:
-        if not c_override > 0:
-            raise NonpositiveC(f"c = {c_override!r} must be positive")
+        _check_c(c_override)
         c = float(c_override)
     family = RectilinearFamily.from_correspondence(R, x, y)
     if grid is None:
@@ -681,8 +697,7 @@ def product_from_json_dict(data: dict) -> ProductSpace:
     what = "product JSON"
     c, grid, pts, mat = _json_fields(data, what, ("c", "grid", "points", "matrix"))
     c = _json_convert(float, c, what, "c")
-    if not c > 0:  # also rejects NaN, which would zero every c-dependent error
-        raise NonpositiveC(f"c = {c!r} must be positive")
+    _check_c(c)
     grid = ParamGrid(_json_convert(lambda v: tuple(float(t) for t in v), grid, what, "grid"))
     pts = _json_convert(list, pts, what, "points")
     mat = _json_convert(_float_array, mat, what, "matrix")

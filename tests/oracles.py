@@ -35,6 +35,27 @@ def naive_triangle_max(dist) -> float:
     return worst
 
 
+def naive_triangle_witness(dist) -> tuple[float, tuple[int, int, int]]:
+    """Largest d[i][j] - (d[i][k] + d[k][j]) and the first triple attaining it.
+
+    Triples are visited k ascending, then i, then j; a NaN deficit ends the
+    scan at once and is returned with its triple.
+    """
+    n = len(dist)
+    worst = -math.inf
+    witness = (0, 0, 0)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                v = dist[i][j] - (dist[i][k] + dist[k][j])
+                if math.isnan(v):
+                    return v, (i, j, k)
+                if v > worst:
+                    worst = v
+                    witness = (i, j, k)
+    return worst, witness
+
+
 def naive_distortion_mask(mask: int, n: int, dx, dy) -> float:
     codes = [k for k in range(len(dx) * n) if mask >> k & 1]
     worst = 0.0

@@ -295,6 +295,22 @@ class TestMalformedFiles:
         assert res.exit_code == EXIT_INPUT_ERROR
         assert json.loads(res.output)["error"] == "NonpositiveC"
 
+    def test_infinite_c_exits_2(self, space_files, tmp_path):
+        # an infinite scale built a product of NaN blocks and printed Infinity
+        x, y = space_files
+        out = tmp_path / "prod.json"
+        res = run(["realize", x, y, "--c", "inf", "-o", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        assert json.loads(res.output)["error"] == "NonpositiveC"
+        assert not out.exists()
+        assert run(["realize", x, y, "-o", str(out)]).exit_code == EXIT_OK
+        data = json.loads(out.read_text())
+        data["product"]["c"] = float("inf")
+        out.write_text(json.dumps(data))
+        res = run(["verify", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        assert json.loads(res.output)["error"] == "NonpositiveC"
+
     @pytest.mark.parametrize(
         "loader", [space_from_json_dict, correspondence_from_json_dict, product_from_json_dict]
     )

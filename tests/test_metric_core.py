@@ -1,6 +1,9 @@
 """Tests for space validation, point/set distances, and Hausdorff distance."""
 
+import math
 import random
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,12 +27,41 @@ from ghgeo import (
     validate_metric,
 )
 
+from ghgeo import metric_core
+from ghgeo.metric_core import BLOCK_ELEMENTS
 from instances import line_space, planar_matrix, planar_space
 from oracles import (
     naive_hausdorff,
     naive_point_set_distance,
     naive_set_set_distance,
+    naive_triangle_witness,
 )
+
+# entry pools for the triangle-scan property: small-integer ties, signed
+# zeros, sums that overflow, and non-finite values
+TRIANGLE_ENTRIES = {
+    "ties": st.integers(0, 3).map(float),
+    "floats": st.floats(-2.0, 10.0, allow_nan=False, allow_infinity=False),
+    "signed_zeros": st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    "huge": st.sampled_from([0.0, 1.0, 1e308, -1e308]),
+    "non_finite": st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan, math.inf, -math.inf]),
+}
+
+
+@st.composite
+def triangle_matrices(draw):
+    n = draw(st.integers(1, 8))
+    entries = TRIANGLE_ENTRIES[draw(st.sampled_from(sorted(TRIANGLE_ENTRIES)))]
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        for i in range(n):
+            for j in range(i):
+                m[i][j] = m[j][i]
+    if draw(st.booleans()):
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        for i in range(n):
+            m[i][i] = zero
+    return m
 
 
 class TestValidateMetric:
@@ -226,3 +258,36 @@ class TestFormats:
     def test_max_triangle_deficit_zero_on_line(self):
         worst, _ = max_triangle_deficit(line_space().dist)
         assert worst == 0.0
+
+
+class TestTriangleScan:
+    @settings(max_examples=400, deadline=None)
+    @given(matrix=triangle_matrices(), block=st.sampled_from([1, 20, 100, BLOCK_ELEMENTS]))
+    def test_matches_naive_first_triple(self, matrix, block):
+        # small blocks split even these matrices into several row blocks
+        with mock.patch.object(metric_core, "BLOCK_ELEMENTS", block):
+            value, witness = max_triangle_deficit(np.array(matrix))
+        want, want_witness = naive_triangle_witness(matrix)
+        assert witness == want_witness
+        if math.isnan(want):
+            assert math.isnan(value)
+        else:
+            assert value == want
+            assert math.copysign(1.0, value) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("block", [1, BLOCK_ELEMENTS])
+    def test_violation_only_below_the_diagonal(self, block, monkeypatch):
+        # the upper triangle is a metric; only d[2][0] > d[2][1] + d[1][0]
+        monkeypatch.setattr(metric_core, "BLOCK_ELEMENTS", block)
+        d = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
+        assert max_triangle_deficit(np.array(d)) == naive_triangle_witness(d) == (3.0, (2, 0, 1))
+
+    def test_exact_graph_metric_stops_at_first_k(self):
+        # a 20 x 20 grid graph: every pair ties at deficit 0, so the witness
+        # is (0, 0, 0) and the witness scan ends after k = 0
+        side = np.arange(400)
+        x, y = side // 20, side % 20
+        d = (np.abs(x[:, None] - x[None, :]) + np.abs(y[:, None] - y[None, :])).astype(float)
+        start = time.perf_counter()
+        assert max_triangle_deficit(d) == (0.0, (0, 0, 0))
+        assert time.perf_counter() - start < 1.0

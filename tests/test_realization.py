@@ -235,6 +235,27 @@ class TestBuildProduct:
         with pytest.raises(NonpositiveC):
             realize_geodesic(line_space(), line_space(), ident, c_override=nan)
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf])
+    def test_infinite_c_rejected_by_every_check(self, c):
+        # inf passed `not c > 0`; each same-slice block was then inf * 0 = NaN
+        with pytest.raises(NonpositiveC):
+            build_product(interp_family(), c, ParamGrid.uniform(3), force=True)
+        with pytest.raises(NonpositiveC):
+            check_lipschitz_condition(sin_family(), c, ParamGrid.uniform(3))
+        with pytest.raises(NonpositiveC):
+            check_lipschitz_exact(interp_family(), c)
+        with pytest.raises(NonpositiveC):
+            product_distance(interp_family(), c, (0, 0.0), (1, 1.0))
+        x, y = two_point_space(2.0), one_point_space()
+        corr = Correspondence(2, 1, frozenset({(0, 0), (1, 0)}))
+        with pytest.raises(NonpositiveC):
+            realize_geodesic(x, y, corr, c_override=c)
+        prod, _ = realize_geodesic(x, y, corr, grid=ParamGrid.uniform(3))
+        data = prod.to_json_dict()
+        data["c"] = c
+        with pytest.raises(NonpositiveC):
+            product_from_json_dict(data)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_tol_must_be_finite_and_nonnegative(self, tol):
         fam = interp_family()
@@ -303,6 +324,22 @@ class TestVerifyProduct:
             assert math.isnan(err)
         assert report.triangle_witness is not None
         assert report.restriction_max_error == 0.0
+
+    def test_nan_in_a_reloaded_slice_fails_both_grid_checks(self):
+        # the grid checks folded with Python max, which dropped the NaN
+        prod, _ = realize_geodesic(
+            two_point_space(2.0), one_point_space(),
+            Correspondence(2, 1, frozenset({(0, 0), (1, 0)})), grid=ParamGrid.uniform(5),
+        )
+        data = prod.to_json_dict()
+        data["matrix"][0][1] = data["matrix"][1][0] = math.nan
+        report = verify_product(product_from_json_dict(data))
+        for check in (report.monotone, report.lipschitz):
+            assert not check.ok
+            assert math.isnan(check.worst)
+            assert check.witness is None
+        assert math.isnan(report.lipschitz.max_slope)
+        assert not report.passed
 
     def test_triangle_scan_matches_naive_triple_loop(self):
         from oracles import naive_triangle_max
