@@ -620,10 +620,12 @@ def verify_product(prod: ProductSpace, tol: float = DEFAULT_TOL) -> Verification
         t = np.array(ts)
         target = (c * np.abs(t[None, :] - t[:, None]))[upper]
         fiber = np.abs(blocks.diagonal(axis1=1, axis2=3)[upper] - target[:, None])
-        # a NaN in a block makes both directed readings NaN, and so its dh
-        dh = np.maximum(blocks.min(axis=3).max(axis=1), blocks.min(axis=1).max(axis=2))
+        # row_min[i, a, j]: distance from (a, t_i) to slice t_j.  A NaN in a
+        # block makes both directed readings NaN, and so its dh
+        row_min = blocks.min(axis=3)
+        dh = np.maximum(row_min.max(axis=1), blocks.min(axis=1).max(axis=2))
         dh_err = np.abs(dh[upper] - target)
-        md_err = np.abs(blocks.min(axis=(1, 3))[upper] - target)
+        md_err = np.abs(row_min.min(axis=1)[upper] - target)
         fiber, dh_err, md_err = (float(errs.max()) for errs in (fiber, dh_err, md_err))
 
     return VerificationReport(

@@ -25,16 +25,6 @@ def naive_hausdorff(dist, a, b) -> float:
     return max(forward, backward)
 
 
-def naive_triangle_max(dist) -> float:
-    n = len(dist)
-    worst = -math.inf
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                worst = max(worst, dist[i][j] - (dist[i][k] + dist[k][j]))
-    return worst
-
-
 def naive_triangle_witness(dist) -> tuple[float, tuple[int, int, int]]:
     """Largest d[i][j] - (d[i][k] + d[k][j]) and the first triple attaining it.
 

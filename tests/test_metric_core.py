@@ -26,9 +26,9 @@ from ghgeo import (
     space_from_text,
     validate_metric,
 )
-
 from ghgeo import metric_core
 from ghgeo.metric_core import BLOCK_ELEMENTS
+
 from instances import line_space, planar_matrix, planar_space
 from oracles import (
     naive_hausdorff,

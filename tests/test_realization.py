@@ -342,15 +342,16 @@ class TestVerifyProduct:
         assert not report.passed
 
     def test_triangle_scan_matches_naive_triple_loop(self):
-        from oracles import naive_triangle_max
+        from oracles import naive_triangle_witness
 
         fam = interp_family()
         prod = build_product(fam, 0.1 * fam.max_abs_slope(), ParamGrid((0.0, 0.5, 1.0)),
                              force=True)
         report = verify_product(prod)
-        assert report.max_triangle_violation == pytest.approx(
-            max(0.0, naive_triangle_max(prod.dist.tolist())), abs=0.0
-        )
+        value, witness = naive_triangle_witness(prod.dist.tolist())
+        assert value > 0.0
+        assert report.max_triangle_violation == value
+        assert report.triangle_witness == witness
 
 
 class TestRealizeGeodesic:
