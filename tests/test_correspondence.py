@@ -1,5 +1,6 @@
 """Tests for relations, distortion, and GH distance solvers."""
 
+import importlib
 import itertools
 import json
 import random
@@ -190,6 +191,11 @@ class TestExactSolver:
             dyz = gh_distance_exact(y, z).value
             dxz = gh_distance_exact(x, z).value
             assert dxz <= dxy + dyz + 1e-12
+
+    def test_golden_file_reproduced_byte_for_byte(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(DATA_DIR))
+        generator = importlib.import_module("generate_exact_golden")
+        assert generator.render() == (DATA_DIR / "exact_golden.json").read_text()
 
     def test_cap_enforced(self):
         x = planar_space(1, 6)
