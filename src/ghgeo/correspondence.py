@@ -175,29 +175,43 @@ def _require_within_cap(m: int, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact solver
+# the objective: one pair-delta kernel for every search
 # ---------------------------------------------------------------------------
 
-def _delta_table(x: FiniteMetricSpace, y: FiniteMetricSpace) -> list[list[float]]:
-    """delta[i*n+j][k*n+l] = | dX[i][k] - dY[j][l] | as plain Python lists."""
-    m, n = len(x), len(y)
-    d = np.abs(
-        x.dist[:, None, :, None] - y.dist[None, :, None, :]
-    ).reshape(m * n, m * n)
-    return d.tolist()
+def _objective(
+    x: FiniteMetricSpace, y: FiniteMetricSpace
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The (dX, dY) orientations the kernel reads and every slot's own term.
+
+    Both orientations are read unless both matrices are exactly symmetric;
+    the own term of slot i*n+j is |dX[i][i] - dY[j][j]|.
+    """
+    views = [(x.dist, y.dist)]
+    if not (np.array_equal(x.dist, x.dist.T) and np.array_equal(y.dist, y.dist.T)):
+        views.append((x.dist.T, y.dist.T))
+    own = np.abs(np.diag(x.dist)[:, None] - np.diag(y.dist)[None, :]).ravel()
+    return views, own
 
 
-def _dis_codes(delta: list[list[float]], codes) -> float:
-    best = 0.0
-    cs = list(codes)
-    for a in range(len(cs)):
-        row = delta[cs[a]]
-        for b in range(a + 1, len(cs)):
-            v = row[cs[b]]
-            if v > best:
-                best = v
-    return best
+def _deltas(views, n: int, members: np.ndarray) -> np.ndarray:
+    """D[q, b] = delta between slot q and member b, the larger of its two
+    orientations; D[b, b] is slot b's own term.
 
+    The maximum of D over members x members is distortion()'s own maximum,
+    so every search optimizes exactly the value it reports.
+    """
+    ui, uj = np.divmod(members, n)
+    d = None
+    for dx, dy in views:
+        e = dx[:, ui][:, None, :] - dy[:, uj][None, :, :]
+        np.abs(e, out=e)
+        d = e if d is None else np.maximum(d, e, out=d)
+    return d.reshape(-1, len(members))
+
+
+# ---------------------------------------------------------------------------
+# exact solver
+# ---------------------------------------------------------------------------
 
 def _coverage_tables(m: int, n: int):
     mn = m * n
@@ -212,7 +226,7 @@ def _coverage_tables(m: int, n: int):
     return row_bit, col_bit, pref_rows, pref_cols
 
 
-def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace, delta) -> list[int]:
+def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace, views) -> list[int]:
     """Deterministic starting correspondence: zip points sorted by eccentricity,
     then attach leftover points of the larger side greedily."""
     m, n = len(x), len(y)
@@ -220,33 +234,26 @@ def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace, delta) -> list[int
     order_y = sorted(range(n), key=lambda j: (-float(y.dist[j].max()), j))
     k = min(m, n)
     codes = [order_x[a] * n + order_y[a] for a in range(k)]
-
-    def attach(candidates: list[int]) -> int:
-        best_code, best_val = -1, None
-        for code in candidates:
-            row = delta[code]
-            val = max((row[q] for q in codes), default=0.0)
-            if best_val is None or val < best_val:
-                best_code, best_val = code, val
-        return best_code
-
+    # each leftover point takes the slot whose largest delta against the
+    # slots chosen so far is smallest, the first one on ties
     if m > n:
-        for a in range(n, m):
-            i = order_x[a]
-            codes.append(attach([i * n + j for j in range(n)]))
-    elif n > m:
-        for a in range(m, n):
-            j = order_y[a]
-            codes.append(attach([i * n + j for i in range(m)]))
+        steps = [[order_x[a] * n + j for j in range(n)] for a in range(n, m)]
+    else:
+        steps = [[i * n + order_y[a] for i in range(m)] for a in range(m, n)]
+    for candidates in steps:
+        d = _deltas(views, n, np.array(candidates))
+        codes.append(candidates[int(np.argmin(d[codes].max(axis=0)))])
     return codes
 
 
-def _min_distortion_value(delta, m: int, n: int, incumbent: float) -> float:
+def _min_distortion_value(delta, m: int, n: int, incumbent: float, floor: float) -> float:
     """Branch-and-bound minimum distortion over all correspondences.
 
-    ``incumbent`` must be attained by some correspondence; partial sets whose
-    distortion already reaches the best value are pruned (distortion is
-    monotone under adding pairs).
+    ``delta[p][q]`` carries the own terms of p and q, and ``floor`` (the
+    smallest own term) stands for a set without pairs.  ``incumbent`` must
+    be attained by some correspondence; partial sets whose distortion
+    already reaches the best value are pruned (distortion is monotone under
+    adding pairs).
     """
     mn = m * n
     row_bit, col_bit, pref_rows, pref_cols = _coverage_tables(m, n)
@@ -279,12 +286,11 @@ def _min_distortion_value(delta, m: int, n: int, incumbent: float) -> float:
             chosen.pop()
         go(b - 1, rows, cols, cur)
 
-    if best > 0.0:
-        go(mn - 1, 0, 0, 0.0)
+    go(mn - 1, 0, 0, floor)
     return best
 
 
-def _canonical_witness_mask(delta, m: int, n: int, d_star: float) -> int:
+def _canonical_witness_mask(delta, m: int, n: int, d_star: float, floor: float) -> int:
     """Smallest-cardinality, then smallest-bitmask correspondence with
     distortion d_star.
 
@@ -333,7 +339,7 @@ def _canonical_witness_mask(delta, m: int, n: int, d_star: float) -> int:
         return None
 
     for budget in range(max(m, n), m + n):
-        mask = go(mn - 1, 0, 0, 0.0, 0, 0, budget)
+        mask = go(mn - 1, 0, 0, floor, 0, 0, budget)
         if mask is not None:
             return mask
     raise AssertionError("no witness within m+n-1 pairs; unreachable")
@@ -348,10 +354,18 @@ def gh_distance_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     """
     m, n = len(x), len(y)
     _require_within_cap(m, n)
-    delta = _delta_table(x, y)
-    start = _greedy_codes(x, y, delta)
-    d_star = _min_distortion_value(delta, m, n, _dis_codes(delta, start))
-    mask = _canonical_witness_mask(delta, m, n, d_star)
+    views, own = _objective(x, y)
+    table = _deltas(views, n, np.arange(m * n))
+    start = _greedy_codes(x, y, views)
+    incumbent = float(table[start][:, start].max())
+    # fold the own terms into the pair entries once, so the searches read
+    # pairs only; a set without pairs starts from the smallest own term
+    np.maximum(table, own[:, None], out=table)
+    np.maximum(table, own[None, :], out=table)
+    delta = table.tolist()
+    floor = float(own.min())
+    d_star = _min_distortion_value(delta, m, n, incumbent, floor)
+    mask = _canonical_witness_mask(delta, m, n, d_star, floor)
     witness = Correspondence.from_bitmask(m, n, mask)
     return GHResult(0.5 * d_star, witness, "exact", True)
 
@@ -371,31 +385,6 @@ class HeuristicConfig:
             raise ValueError("iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-
-
-class _DeltaRows:
-    """delta[code] for one code at a time, computed from the two distance
-    matrices: the rows of _delta_table without the (mn)^2 table."""
-
-    def __init__(self, x: FiniteMetricSpace, y: FiniteMetricSpace):
-        self.dx = x.dist
-        self.dy = y.dist
-
-    def __getitem__(self, code: int) -> list[float]:
-        i, j = divmod(code, self.dy.shape[0])
-        return np.abs(self.dx[i][:, None] - self.dy[j][None, :]).ravel().tolist()
-
-
-def _member_deltas(views, n: int, members: np.ndarray) -> np.ndarray:
-    """D[q, b] = delta between slot q and member b, the larger of its two
-    orientations when a matrix is not exactly symmetric."""
-    ui, uj = np.divmod(members, n)
-    d = None
-    for dx, dy in views:
-        e = dx[:, ui][:, None, :] - dy[:, uj][None, :, :]
-        np.abs(e, out=e)
-        d = e if d is None else np.maximum(d, e, out=d)
-    return d.reshape(-1, len(members))
 
 
 def _top2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,7 +445,7 @@ def _descend(views, diag: np.ndarray, m: int, n: int, codes, max_steps: int) -> 
     members = np.array(sorted(codes))
     steps = 0
     while True:
-        d = _member_deltas(views, n, members)
+        d = _deltas(views, n, members)
         cur = float(d[members].max())
         moved = _first_move(d, cur, diag, members, m, n) if steps < max_steps else None
         if moved is None:
@@ -495,19 +484,14 @@ def gh_distance_heuristic(
 
     cfg = config or HeuristicConfig()
     m, n = len(x), len(y)
-    # the objective is distortion()'s own maximum: both orientations of every
-    # pair of members, and each member with itself
-    views = [(x.dist, y.dist)]
-    if not (np.array_equal(x.dist, x.dist.T) and np.array_equal(y.dist, y.dist.T)):
-        views.append((x.dist.T, y.dist.T))
-    diag = np.abs(np.diag(x.dist)[:, None] - np.diag(y.dist)[None, :]).ravel()
+    views, diag = _objective(x, y)
     rng = random.Random(cfg.seed)
 
     best_dis = None
     best_codes: set[int] = set()
     for restart in range(cfg.restarts):
         if restart == 0:
-            codes = _greedy_codes(x, y, _DeltaRows(x, y))
+            codes = _greedy_codes(x, y, views)
         else:
             codes = _random_codes(rng, m, n)
         dis_val, codes = _descend(views, diag, m, n, codes, cfg.iterations)

@@ -25,7 +25,7 @@ from .correspondence import (
     gh_distance_exact,
 )
 from .errors import NotOptimalCorrespondence, ParameterOutOfRange
-from .metric_core import FiniteMetricSpace
+from .metric_core import FiniteMetricSpace, _strictest_kind
 
 # half-distortion must match the exact GH value this closely for the
 # correspondence to count as optimal
@@ -68,11 +68,8 @@ class GeodesicSlice:
     def as_space(self) -> FiniteMetricSpace:
         """Export as a space; kind is the strictest that holds for the matrix."""
         m = self.matrix
-        n = m.shape[0]
-        off = m[~np.eye(n, dtype=bool)] if n > 1 else np.array([1.0])
-        kind = "metric" if bool((off > 0.0).all()) else "pseudometric"
         return FiniteMetricSpace(
-            labels=self.labels, dist=m, kind=kind, name=f"geodesic(t={self.t})"
+            labels=self.labels, dist=m, kind=_strictest_kind(m), name=f"geodesic(t={self.t})"
         )
 
 

@@ -191,6 +191,12 @@ def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
     return worst, witness
 
 
+def _strictest_kind(d: np.ndarray) -> Kind:
+    """"metric" when every off-diagonal entry is positive, else "pseudometric"."""
+    off = d[~np.eye(d.shape[0], dtype=bool)]
+    return "metric" if bool((off > 0.0).all()) else "pseudometric"
+
+
 def _check_tol(tol: float) -> None:
     """Every axiom check reads ``value > tol``, which a NaN tol never fails."""
     if not (math.isfinite(tol) and tol >= 0):
@@ -237,9 +243,8 @@ def validate_metric(
     if deficit > tol:
         raise TriangleViolation(i, j, k, deficit)
 
-    off = d[~np.eye(n, dtype=bool)] if n > 1 else np.array([1.0])
-    is_metric = bool((off > 0.0).all())
-    if kind == "metric" and not is_metric:
+    strictest = _strictest_kind(d)
+    if kind == "metric" and strictest != "metric":
         mask = (d <= 0.0) & ~np.eye(n, dtype=bool)
         i, j = np.argwhere(mask)[0]
         raise ZeroOffDiagonal(
@@ -251,7 +256,7 @@ def validate_metric(
     return FiniteMetricSpace(
         labels=tuple(labels),
         dist=d,
-        kind="metric" if is_metric else "pseudometric",
+        kind=strictest,
         name=name,
     )
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghgeo import correspondence_from_json_dict, product_from_json_dict, space_from_json_dict
+from ghgeo import (
+    correspondence_from_json_dict,
+    distortion,
+    load_space,
+    product_from_json_dict,
+    space_from_json_dict,
+)
 from ghgeo.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -215,6 +221,33 @@ class TestDeterminism:
         out = tmp_path / "p.json"
         out.write_text(json.dumps(prod.to_json_dict()))
         assert np.array_equal(load_product(out).dist, prod.dist)
+
+
+class TestNearlySymmetricSpaces:
+    """Spaces that validate_metric accepts, symmetric only within tol."""
+
+    @pytest.fixture
+    def near_files(self, tmp_path):
+        x = tmp_path / "X.json"
+        y = tmp_path / "Y.json"
+        x.write_text(json.dumps({"name": "X", "points": ["a", "b"],
+                                 "matrix": [[0, 1.9999999996], [2.0000000004, 0]]}))
+        y.write_text(json.dumps({"name": "Y", "points": ["u", "v"],
+                                 "matrix": [[0, 3.0000000004], [3.0000000004, 0]]}))
+        return str(x), str(y)
+
+    @pytest.mark.parametrize("options", [["dist"], ["geodesic", "--t", "0.5"], ["realize"]])
+    def test_json_and_exit_0_or_1(self, near_files, options):
+        x, y = near_files
+        res = run([options[0], x, y, *options[1:]])
+        assert res.exit_code in (EXIT_OK, EXIT_VERIFICATION_FAILED)
+        json.loads(res.output)
+
+    def test_dist_value_is_half_witness_distortion(self, near_files):
+        x, y = near_files
+        payload = json.loads(run(["dist", x, y]).output)
+        witness = correspondence_from_json_dict(payload["witness"])
+        assert payload["value"] == 0.5 * distortion(witness, load_space(x), load_space(y))
 
 
 class TestMainEntry:

@@ -25,6 +25,7 @@ from ghgeo import (
     gh_distance_exact,
     gh_distance_heuristic,
     gh_lower_bound,
+    slice_gh_check,
     validate_metric,
 )
 
@@ -262,13 +263,29 @@ class TestHeuristic:
         assert res.value == 0.5 * distortion(res.witness, x, y)
 
     def test_value_is_half_witness_distortion_when_symmetric_within_tol(self):
-        # validate_metric accepts asymmetry up to tol; the objective reads
-        # both orientations, as distortion() does
-        x = validate_metric([[0, 1 + 5e-10, 2], [1, 0, 1.5], [2, 1.5, 0]])
-        y = validate_metric([[0, 1], [1, 0]])
-        for a, b in ((x, y), (y, x)):
-            res = gh_distance_heuristic(a, b)
-            assert res.value == 0.5 * distortion(res.witness, a, b)
+        # validate_metric accepts asymmetry and diagonals up to tol; both
+        # solvers read both orientations and the own terms, as distortion()
+        # does, and the exact one matches the oracle's canonical witness
+        pairs = [
+            ([[0, 1 + 5e-10, 2], [1, 0, 1.5], [2, 1.5, 0]], [[0, 1], [1, 0]]),
+            ([[0, 1.9999999996], [2.0000000004, 0]], [[0, 3.0000000004], [3.0000000004, 0]]),
+            ([[0, 1.0000000004], [0.9999999996, 0]], [[0, 3, 2], [3, 0, 1], [2, 1, 0]]),
+            ([[3e-10]], [[0.0]]),
+        ]
+        for mx, my in pairs:
+            x, y = validate_metric(mx), validate_metric(my)
+            for a, b in ((x, y), (y, x)):
+                res = gh_distance_heuristic(a, b)
+                assert res.value == 0.5 * distortion(res.witness, a, b)
+                res = gh_distance_exact(a, b)
+                assert res.value == 0.5 * distortion(res.witness, a, b)
+                value, mask = naive_gh(a.dist.tolist(), b.dist.tolist())
+                assert (res.value, res.witness.bitmask()) == (value, mask)
+        assert gh_distance_exact(validate_metric([[3e-10]]), validate_metric([[0.0]])).value == 1.5e-10
+        # the slice check accepts the exact solver's own witness
+        x, y = (validate_metric(mx) for mx in pairs[2])
+        check = slice_gh_check(gh_distance_exact(x, y).witness, x, y, 0.25, 0.75)
+        assert check.error < 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), m=st.integers(1, 6), n=st.integers(1, 6))
@@ -280,6 +297,11 @@ class TestHeuristic:
         y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), dy)
         res = gh_distance_heuristic(x, y, HeuristicConfig(iterations=50, restarts=2))
         assert res.value == 0.5 * distortion(res.witness, x, y)
+        if m * n <= 12:
+            res = gh_distance_exact(x, y)
+            assert res.value == 0.5 * distortion(res.witness, x, y)
+            value, mask = naive_gh(dx, dy)
+            assert (res.value, res.witness.bitmask()) == (value, mask)
 
     @pytest.mark.parametrize("size, limit_mib", [(40, 8), (100, 64)])
     def test_peak_memory(self, size, limit_mib):
