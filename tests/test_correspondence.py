@@ -198,6 +198,14 @@ class TestExactSolver:
         generator = importlib.import_module("generate_exact_golden")
         assert generator.render() == (DATA_DIR / "exact_golden.json").read_text()
 
+    def test_tail_golden_reproduced(self):
+        # the benchmark's slowest pairs for the index-order branch and bound;
+        # the stored values are checked, the generator is not rerun
+        data = json.loads((DATA_DIR / "exact_tail.json").read_text())
+        for inst in data["instances"]:
+            res = gh_distance_exact(validate_metric(inst["X"]), validate_metric(inst["Y"]))
+            assert (res.value, res.witness.bitmask()) == (inst["value"], inst["mask"]), inst
+
     def test_cap_enforced(self):
         x = planar_space(1, 6)
         y = planar_space(2, 5)
