@@ -14,6 +14,7 @@ instances and returns an upper bound with a witness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,19 +214,6 @@ def _deltas(views, n: int, members: np.ndarray) -> np.ndarray:
 # exact solver
 # ---------------------------------------------------------------------------
 
-def _coverage_tables(m: int, n: int):
-    mn = m * n
-    row_bit = [1 << (k // n) for k in range(mn)]
-    col_bit = [1 << (k % n) for k in range(mn)]
-    # pref_*[b] = index bits coverable by codes < b
-    pref_rows = [0] * (mn + 1)
-    pref_cols = [0] * (mn + 1)
-    for b in range(mn):
-        pref_rows[b + 1] = pref_rows[b] | row_bit[b]
-        pref_cols[b + 1] = pref_cols[b] | col_bit[b]
-    return row_bit, col_bit, pref_rows, pref_cols
-
-
 def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace, views) -> list[int]:
     """Deterministic starting correspondence: zip points sorted by eccentricity,
     then attach leftover points of the larger side greedily."""
@@ -246,100 +234,114 @@ def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace, views) -> list[int
     return codes
 
 
-def _min_distortion_value(delta, m: int, n: int, incumbent: float, floor: float) -> float:
-    """Branch-and-bound minimum distortion over all correspondences.
+def _bitsets(allowed: np.ndarray):
+    """Each row of a boolean array as an int whose bit q is column q; a 1-D
+    array gives one int."""
+    packed = np.packbits(allowed, axis=-1, bitorder="little")
+    raw = packed.tobytes()
+    if packed.ndim == 1:
+        return int.from_bytes(raw, "little")
+    w = packed.shape[1]
+    return [int.from_bytes(raw[a : a + w], "little") for a in range(0, len(raw), w)]
 
-    ``delta[p][q]`` carries the own terms of p and q, and ``floor`` (the
-    smallest own term) stands for a set without pairs.  ``incumbent`` must
-    be attained by some correspondence; partial sets whose distortion
-    already reaches the best value are pruned (distortion is monotone under
-    adding pairs).
+
+def _line_masks(m: int, n: int) -> list[int]:
+    """The slots of each line: rows 0..m-1, then columns as lines m..m+n-1.
+
+    Slot c lies on row c // n and on line m + c % n.
     """
-    mn = m * n
-    row_bit, col_bit, pref_rows, pref_cols = _coverage_tables(m, n)
-    full_rows = (1 << m) - 1
-    full_cols = (1 << n) - 1
+    column = sum(1 << (i * n) for i in range(m))
+    return [((1 << n) - 1) << (i * n) for i in range(m)] + [column << j for j in range(n)]
+
+
+def _find_cover(compat, feas: int, lines, open_lines: list[int], m: int, n: int):
+    """Slots from ``feas``, pairwise compatible, that cover every open line,
+    or None.
+
+    Branches on the open line with the fewest candidates left (Knuth's
+    "fewest options first"); a candidate that was tried is dropped before
+    the next one.
+    """
+    if not open_lines:
+        return []
+    fewest = min([feas & lines[line] for line in open_lines], key=int.bit_count)
+    while fewest:
+        low = fewest & -fewest
+        c = low.bit_length() - 1
+        rest = [line for line in open_lines if line != c // n and line != m + c % n]
+        cover = _find_cover(compat, feas & compat[c], lines, rest, m, n)
+        if cover is not None:
+            cover.append(c)
+            return cover
+        feas ^= low
+        fewest ^= low
+    return None
+
+
+def _min_cover_value(table: np.ndarray, m: int, n: int, incumbent: float) -> float:
+    """Minimum distortion over all correspondences.
+
+    ``table[p][q]`` is the distortion of {p, q} and ``table[p][p]`` that of
+    {p}; ``incumbent`` must be attained by some correspondence.  Each round
+    looks for a cover whose entries all lie below the best value so far and
+    takes its distortion as the new best; when none exists, the best is the
+    minimum.
+    """
+    lines = _line_masks(m, n)
     best = incumbent
-    chosen: list[int] = []
-
-    def go(b: int, rows: int, cols: int, cur: float) -> None:
-        nonlocal best
-        if cur >= best:
-            return
-        if b < 0:
-            if rows == full_rows and cols == full_cols:
-                best = cur
-            return
-        if (full_rows & ~rows) & ~pref_rows[b + 1]:
-            return
-        if (full_cols & ~cols) & ~pref_cols[b + 1]:
-            return
-        nd = cur
-        row = delta[b]
-        for q in chosen:
-            v = row[q]
-            if v > nd:
-                nd = v
-        if nd < best:
-            chosen.append(b)
-            go(b - 1, rows | row_bit[b], cols | col_bit[b], nd)
-            chosen.pop()
-        go(b - 1, rows, cols, cur)
-
-    go(mn - 1, 0, 0, floor)
-    return best
+    while True:
+        below = table < best
+        cover = _find_cover(
+            _bitsets(below), _bitsets(np.diagonal(below)), lines, list(range(m + n)), m, n
+        )
+        if cover is None:
+            return best
+        best = float(table[cover][:, cover].max())
 
 
-def _canonical_witness_mask(delta, m: int, n: int, d_star: float, floor: float) -> int:
+def _canonical_cover(table: np.ndarray, m: int, n: int, d_star: float) -> int:
     """Smallest-cardinality, then smallest-bitmask correspondence with
     distortion d_star.
 
     Any optimal correspondence contains a covering subset of at most
     m + n - 1 pairs whose distortion cannot exceed (hence equals) d_star,
-    so the cardinality loop always terminates.
+    so the cardinality loop always terminates.  A slot whose row and column
+    are both covered is never taken: a set holding it is not the smallest.
     """
-    mn = m * n
-    row_bit, col_bit, pref_rows, pref_cols = _coverage_tables(m, n)
-    full_rows = (1 << m) - 1
-    full_cols = (1 << n) - 1
-    chosen: list[int] = []
+    within = table <= d_star
+    compat = _bitsets(within)
+    lines = _line_masks(m, n)
 
-    def go(b: int, rows: int, cols: int, cur: float, count: int, mask: int, budget: int):
-        need_r = full_rows & ~rows
-        need_c = full_cols & ~cols
-        if count + max(need_r.bit_count(), need_c.bit_count()) > budget:
+    def go(feas: int, open_lines: list[int], count: int, mask: int, budget: int):
+        if not open_lines:
+            return mask
+        open_rows = bisect_left(open_lines, m)  # ascending, rows first
+        if count + max(open_rows, len(open_lines) - open_rows) > budget:
             return None
-        if b < 0:
-            if count == budget and not need_r and not need_c:
-                return mask
-            return None
-        if count + b + 1 < budget:
-            return None
-        if need_r & ~pref_rows[b + 1] or need_c & ~pref_cols[b + 1]:
-            return None
-        # exclude-first keeps masks in ascending numeric order
-        res = go(b - 1, rows, cols, cur, count, mask, budget)
-        if res is not None:
-            return res
-        nd = cur
-        row = delta[b]
-        for q in chosen:
-            v = row[q]
-            if v > nd:
-                nd = v
-        if nd <= d_star:
-            chosen.append(b)
-            res = go(
-                b - 1, rows | row_bit[b], cols | col_bit[b], nd,
-                count + 1, mask | 1 << b, budget,
-            )
-            chosen.pop()
-            if res is not None:
-                return res
-        return None
+        useful = forced = 0
+        for line in open_lines:
+            cand = feas & lines[line]
+            if not cand:
+                return None
+            if not cand & (cand - 1):
+                forced = cand
+            useful |= cand
+        # a line with one candidate left forces it; otherwise deciding the
+        # highest slot first, exclude-first, keeps masks in ascending order
+        if forced:
+            high = forced
+        else:
+            high = 1 << (useful.bit_length() - 1)
+            found = go(useful ^ high, open_lines, count, mask, budget)
+            if found is not None:
+                return found
+        b = high.bit_length() - 1
+        rest = [line for line in open_lines if line != b // n and line != m + b % n]
+        return go(useful & compat[b], rest, count + 1, mask | high, budget)
 
+    feas = _bitsets(np.diagonal(within))
     for budget in range(max(m, n), m + n):
-        mask = go(mn - 1, 0, 0, floor, 0, 0, budget)
+        mask = go(feas, list(range(m + n)), 0, 0, budget)
         if mask is not None:
             return mask
     raise AssertionError("no witness within m+n-1 pairs; unreachable")
@@ -358,14 +360,12 @@ def gh_distance_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     table = _deltas(views, n, np.arange(m * n))
     start = _greedy_codes(x, y, views)
     incumbent = float(table[start][:, start].max())
-    # fold the own terms into the pair entries once, so the searches read
-    # pairs only; a set without pairs starts from the smallest own term
+    # fold the own terms into the pair entries once: table[p][q] is then the
+    # distortion of {p, q}, and the diagonal already holds that of {p}
     np.maximum(table, own[:, None], out=table)
     np.maximum(table, own[None, :], out=table)
-    delta = table.tolist()
-    floor = float(own.min())
-    d_star = _min_distortion_value(delta, m, n, incumbent, floor)
-    mask = _canonical_witness_mask(delta, m, n, d_star, floor)
+    d_star = _min_cover_value(table, m, n, incumbent)
+    mask = _canonical_cover(table, m, n, d_star)
     witness = Correspondence.from_bitmask(m, n, mask)
     return GHResult(0.5 * d_star, witness, "exact", True)
 

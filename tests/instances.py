@@ -20,6 +20,21 @@ def planar_matrix(rng: random.Random, n: int) -> list[list[float]]:
     ]
 
 
+def graph_matrix(rng: random.Random, n: int) -> list[list[float]]:
+    """Shortest paths on a random tree plus chords with integer weights 1-3,
+    so many distances and many distortions tie."""
+    d = [[0.0 if i == j else math.inf for j in range(n)] for i in range(n)]
+    edges = [(i, rng.randrange(i)) for i in range(1, n)]
+    edges += [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
+    for i, j in edges:
+        d[i][j] = d[j][i] = min(d[i][j], float(rng.randint(1, 3)))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
 def planar_space(seed: int, n: int, name: str = "") -> FiniteMetricSpace:
     rng = random.Random(seed)
     return validate_metric(

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive pure Python (plain loops, full
 enumerations, no pruning, no shared code with the implementations under
-test).
+test).  The one exception is ``bnb_gh``, the exact solver's former
+index-order branch and bound, which prunes so that it reaches m*n = 25
+where ``naive_gh`` cannot.
 """
 
 from __future__ import annotations
@@ -190,3 +192,149 @@ def naive_gh_heuristic(dx, dy, iterations: int = 1000, seed: int = 0, restarts: 
         if best[0] == 0.0:
             break
     return 0.5 * best[0], [(c // n, c % n) for c in best[1]]
+
+
+# ---------------------------------------------------------------------------
+# the index-order branch and bound, kept as an oracle above naive_gh's reach
+# ---------------------------------------------------------------------------
+
+def _coverage_tables(m: int, n: int):
+    mn = m * n
+    row_bit = [1 << (k // n) for k in range(mn)]
+    col_bit = [1 << (k % n) for k in range(mn)]
+    # pref_*[b] = index bits coverable by codes < b
+    pref_rows = [0] * (mn + 1)
+    pref_cols = [0] * (mn + 1)
+    for b in range(mn):
+        pref_rows[b + 1] = pref_rows[b] | row_bit[b]
+        pref_cols[b + 1] = pref_cols[b] | col_bit[b]
+    return row_bit, col_bit, pref_rows, pref_cols
+
+
+def _min_distortion_value(delta, m: int, n: int, incumbent: float, floor: float) -> float:
+    """Branch-and-bound minimum distortion over all correspondences.
+
+    ``delta[p][q]`` carries the own terms of p and q, and ``floor`` (the
+    smallest own term) stands for a set without pairs.  ``incumbent`` must
+    be attained by some correspondence; partial sets whose distortion
+    already reaches the best value are pruned (distortion is monotone under
+    adding pairs).
+    """
+    mn = m * n
+    row_bit, col_bit, pref_rows, pref_cols = _coverage_tables(m, n)
+    full_rows = (1 << m) - 1
+    full_cols = (1 << n) - 1
+    best = incumbent
+    chosen: list[int] = []
+
+    def go(b: int, rows: int, cols: int, cur: float) -> None:
+        nonlocal best
+        if cur >= best:
+            return
+        if b < 0:
+            if rows == full_rows and cols == full_cols:
+                best = cur
+            return
+        if (full_rows & ~rows) & ~pref_rows[b + 1]:
+            return
+        if (full_cols & ~cols) & ~pref_cols[b + 1]:
+            return
+        nd = cur
+        row = delta[b]
+        for q in chosen:
+            v = row[q]
+            if v > nd:
+                nd = v
+        if nd < best:
+            chosen.append(b)
+            go(b - 1, rows | row_bit[b], cols | col_bit[b], nd)
+            chosen.pop()
+        go(b - 1, rows, cols, cur)
+
+    go(mn - 1, 0, 0, floor)
+    return best
+
+
+def _canonical_witness_mask(delta, m: int, n: int, d_star: float, floor: float) -> int:
+    """Smallest-cardinality, then smallest-bitmask correspondence with
+    distortion d_star.
+
+    Any optimal correspondence contains a covering subset of at most
+    m + n - 1 pairs whose distortion cannot exceed (hence equals) d_star,
+    so the cardinality loop always terminates.
+    """
+    mn = m * n
+    row_bit, col_bit, pref_rows, pref_cols = _coverage_tables(m, n)
+    full_rows = (1 << m) - 1
+    full_cols = (1 << n) - 1
+    chosen: list[int] = []
+
+    def go(b: int, rows: int, cols: int, cur: float, count: int, mask: int, budget: int):
+        need_r = full_rows & ~rows
+        need_c = full_cols & ~cols
+        if count + max(need_r.bit_count(), need_c.bit_count()) > budget:
+            return None
+        if b < 0:
+            if count == budget and not need_r and not need_c:
+                return mask
+            return None
+        if count + b + 1 < budget:
+            return None
+        if need_r & ~pref_rows[b + 1] or need_c & ~pref_cols[b + 1]:
+            return None
+        # exclude-first keeps masks in ascending numeric order
+        res = go(b - 1, rows, cols, cur, count, mask, budget)
+        if res is not None:
+            return res
+        nd = cur
+        row = delta[b]
+        for q in chosen:
+            v = row[q]
+            if v > nd:
+                nd = v
+        if nd <= d_star:
+            chosen.append(b)
+            res = go(
+                b - 1, rows | row_bit[b], cols | col_bit[b], nd,
+                count + 1, mask | 1 << b, budget,
+            )
+            chosen.pop()
+            if res is not None:
+                return res
+        return None
+
+    for budget in range(max(m, n), m + n):
+        mask = go(mn - 1, 0, 0, floor, 0, 0, budget)
+        if mask is not None:
+            return mask
+    raise AssertionError("no witness within m+n-1 pairs; unreachable")
+
+
+def bnb_gh(dx, dy) -> tuple[float, int]:
+    """Minimum half-distortion and the canonical witness mask, by branch and
+    bound over slots in index order.
+
+    Builds the folded delta table in plain Python: the larger of the two
+    orientations of each pair entry and every slot's own term
+    |dx[i][i] - dy[j][j]|.  The search starts from the full product X x Y,
+    a correspondence, so it needs no heuristic incumbent.
+    """
+    m, n = len(dx), len(dy)
+    mn = m * n
+    own = [abs(dx[p // n][p // n] - dy[p % n][p % n]) for p in range(mn)]
+    delta = [
+        [
+            max(
+                abs(dx[p // n][q // n] - dy[p % n][q % n]),
+                abs(dx[q // n][p // n] - dy[q % n][p % n]),
+                own[p],
+                own[q],
+            )
+            for q in range(mn)
+        ]
+        for p in range(mn)
+    ]
+    floor = min(own)
+    full = max(max(row) for row in delta)
+    d_star = _min_distortion_value(delta, m, n, full, floor)
+    return 0.5 * d_star, _canonical_witness_mask(delta, m, n, d_star, floor)

@@ -29,10 +29,19 @@ from ghgeo import (
     validate_metric,
 )
 
-from instances import one_point_space, planar_pair, planar_space, two_point_space
-from oracles import naive_gh, naive_gh_heuristic, naive_surjective_masks
+from instances import (
+    graph_matrix,
+    one_point_space,
+    planar_matrix,
+    planar_pair,
+    planar_space,
+    two_point_space,
+)
+from oracles import bnb_gh, naive_gh, naive_gh_heuristic, naive_surjective_masks
 
 DATA_DIR = Path(__file__).parent / "data"
+# every shape with 13 <= m*n <= 25: above naive_gh's reach, within the cap
+ORACLE_SHAPES = [(m, n) for m in range(1, 26) for n in range(1, 26) if 13 <= m * n <= 25]
 
 
 @st.composite
@@ -205,6 +214,26 @@ class TestExactSolver:
         for inst in data["instances"]:
             res = gh_distance_exact(validate_metric(inst["X"]), validate_metric(inst["Y"]))
             assert (res.value, res.witness.bitmask()) == (inst["value"], inst["mask"]), inst
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.sampled_from(ORACLE_SHAPES),
+        make=st.sampled_from([planar_matrix, graph_matrix]),
+        seed=st.integers(0, 2**32 - 1),
+        jitter=st.booleans(),
+    )
+    def test_matches_branch_and_bound_oracle(self, shape, make, seed, jitter):
+        # planar pairs rarely tie, graph pairs tie a lot; jittered entries are
+        # symmetric and zero on the diagonal only within validate_metric's tol
+        rng = random.Random(seed)
+        dx, dy = (make(rng, size) for size in shape)
+        if jitter:
+            dx, dy = ([[v + rng.uniform(-4e-10, 4e-10) for v in row] for row in d] for d in (dx, dy))
+        x = FiniteMetricSpace(tuple(f"x{i}" for i in range(len(dx))), dx)
+        y = FiniteMetricSpace(tuple(f"y{j}" for j in range(len(dy))), dy)
+        res = gh_distance_exact(x, y)
+        assert (res.value, res.witness.bitmask()) == bnb_gh(dx, dy)
+        assert res.value == 0.5 * distortion(res.witness, x, y)
 
     def test_cap_enforced(self):
         x = planar_space(1, 6)
