@@ -131,21 +131,24 @@ class PointSubset:
 BLOCK_ELEMENTS = 1 << 17
 
 
-def _min_plus_deficit(d: np.ndarray) -> float:
-    """max_{i,j} (d[i][j] - min_k (d[i][k] + d[k][j])) for a finite matrix.
+def _min_plus_deficit(d: np.ndarray) -> tuple[float, np.ndarray]:
+    """max_{i,j} (d[i][j] - min_k (d[i][k] + d[k][j])) for a finite matrix,
+    and the flat indices i * n + j, ascending, of the pairs attaining it.
 
     Equal to the worst deficit over all triples: the min-plus product holds
     one of the very sums the triple scan subtracts, and rounding of d - s is
     monotone in s.  An exactly symmetric d has a symmetric min-plus product,
-    so each block of rows starting at row r needs only the columns j >= r.
-    The block's sums live in one reused buffer of at most
-    BLOCK_ELEMENTS elements (or one row, if a row is larger).
+    so each block of rows starting at row r needs only the columns j >= r,
+    and the pairs found are mirrored.  The block's sums live in one reused
+    buffer of at most BLOCK_ELEMENTS elements (or one row, if a row is
+    larger).
     """
     n = d.shape[0]
     dT = np.ascontiguousarray(d.T)
     symmetric = bool((d == dT).all())
     buf = np.empty(max(n * n, min(BLOCK_ELEMENTS, n**3)))
     worst = -math.inf
+    hits = []
     r = 0
     while r < n:
         c0 = r if symmetric else 0
@@ -153,9 +156,17 @@ def _min_plus_deficit(d: np.ndarray) -> float:
         sums = buf[: rows * (n - c0) * n].reshape(rows, n - c0, n)
         np.add(d[r : r + rows, None, :], dT[None, c0:, :], out=sums)
         deficit = d[r : r + rows, c0:] - np.minimum.reduce(sums, axis=2)
-        worst = max(worst, float(deficit.max()))
+        top = float(deficit.max())
+        if top > worst:
+            worst, hits = top, []
+        if top == worst:
+            i, j = np.nonzero(deficit == top)
+            hits.append((i + r) * n + j + c0)
         r += rows
-    return worst
+    flat = np.concatenate(hits)
+    if symmetric:
+        flat = np.concatenate([flat, flat % n * n + flat // n])
+    return worst, np.unique(flat)
 
 
 def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
@@ -167,14 +178,25 @@ def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
     only on genuine violations.  A NaN entry makes the deficit NaN, with the
     first triple that meets one.
 
-    A finite matrix costs one min-plus pass for the value and a scan over k
-    that stops at the first k attaining it (at once on an exact metric,
-    where k = 0 already gives 0).  Non-finite matrices take the full scan.
+    A finite matrix costs one min-plus pass for the value and the pairs
+    (i, j) attaining it, then a scan over k of those pairs only, which stops
+    at the first k attaining the value.  Non-finite matrices take the full
+    scan.
     """
     d = np.asarray(matrix, dtype=float)
     n = d.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
-        target = _min_plus_deficit(d) if n and np.isfinite(d).all() else None
+        if n and np.isfinite(d).all():
+            target, flat = _min_plus_deficit(d)
+            i, j = np.divmod(flat, n)
+            dij = d[i, j]
+            for k in range(n):
+                v = dij - (d[i, k] + d[k, j])
+                hit = np.flatnonzero(v == target)
+                if hit.size:
+                    a = hit[0]
+                    return float(v[a]), (int(i[a]), int(j[a]), k)
+            raise AssertionError("min-plus deficit not attained; unreachable")
         worst = -math.inf
         witness = (0, 0, 0)
         for k in range(n):
@@ -186,8 +208,6 @@ def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
             if m > worst:
                 worst = m
                 witness = (flat // n, flat % n, k)
-                if m == target:
-                    break
     return worst, witness
 
 
