@@ -131,42 +131,65 @@ class PointSubset:
 BLOCK_ELEMENTS = 1 << 17
 
 
-def _min_plus_deficit(d: np.ndarray) -> tuple[float, np.ndarray]:
-    """max_{i,j} (d[i][j] - min_k (d[i][k] + d[k][j])) for a finite matrix,
-    and the flat indices i * n + j, ascending, of the pairs attaining it.
+def _min_plus_blocks(d: np.ndarray):
+    """For each block of rows of a finite matrix: (r, c0, block, sums,
+    deficit), where block = d[r : r + rows, c0:], sums[a, b, k] =
+    d[r + a][k] + d[k][c0 + b] and deficit = block - min_k sums.
 
-    Equal to the worst deficit over all triples: the min-plus product holds
-    one of the very sums the triple scan subtracts, and rounding of d - s is
-    monotone in s.  An exactly symmetric d has a symmetric min-plus product,
-    so each block of rows starting at row r needs only the columns j >= r,
-    and the pairs found are mirrored.  The block's sums live in one reused
-    buffer of at most BLOCK_ELEMENTS elements (or one row, if a row is
-    larger).
+    max_{i,j} (d[i][j] - min_k (d[i][k] + d[k][j])) is the worst deficit
+    over all triples: the min-plus product holds one of the very sums the
+    triple scan subtracts, and rounding of d - s is monotone in s.  An
+    exactly symmetric d has a symmetric min-plus product, so each block of
+    rows starting at row r needs only the columns j >= r (c0 = r); these
+    hold the first pair (i <= j) of every mirrored one.  The sums of every
+    block live in one reused buffer of at most BLOCK_ELEMENTS elements (or
+    one row, if a row is larger), so a block must be used before the next.
+    The caller sets the floating-point error state.
     """
     n = d.shape[0]
     dT = np.ascontiguousarray(d.T)
     symmetric = bool((d == dT).all())
     buf = np.empty(max(n * n, min(BLOCK_ELEMENTS, n**3)))
-    worst = -math.inf
-    hits = []
     r = 0
     while r < n:
         c0 = r if symmetric else 0
         rows = max(1, min(n - r, buf.size // ((n - c0) * n)))
         sums = buf[: rows * (n - c0) * n].reshape(rows, n - c0, n)
         np.add(d[r : r + rows, None, :], dT[None, c0:, :], out=sums)
-        deficit = d[r : r + rows, c0:] - np.minimum.reduce(sums, axis=2)
+        block = d[r : r + rows, c0:]
+        yield r, c0, block, sums, block - np.minimum.reduce(sums, axis=2)
+        r += rows
+
+
+def _min_plus_deficit(d: np.ndarray) -> float:
+    """The worst triangle deficit of a finite matrix, without a witness."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return max((float(b[-1].max()) for b in _min_plus_blocks(d)), default=-math.inf)
+
+
+def _min_plus_witness(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """The worst triangle deficit of a finite, nonempty matrix and the first
+    triple attaining it, from one min-plus pass.
+
+    Only the pairs of a block attaining the worst value so far are read
+    again, from the sums still in the buffer, over the k below the best
+    witness so far: earlier blocks hold smaller i * n + j.
+    """
+    n = d.shape[0]
+    worst, k_best = -math.inf, n
+    for r, c0, block, sums, deficit in _min_plus_blocks(d):
         top = float(deficit.max())
         if top > worst:
-            worst, hits = top, []
-        if top == worst:
-            i, j = np.nonzero(deficit == top)
-            hits.append((i + r) * n + j + c0)
-        r += rows
-    flat = np.concatenate(hits)
-    if symmetric:
-        flat = np.concatenate([flat, flat % n * n + flat // n])
-    return worst, np.unique(flat)
+            worst, k_best = top, n
+        if top == worst and k_best:
+            a, b = np.nonzero(deficit == top)
+            v = block[a, b][:, None] - sums[a, b, :k_best]
+            # transposed, nonzero runs k first, then the pairs in order
+            k, hit = np.nonzero((v == top).T)
+            if k.size:
+                k_best, h = int(k[0]), hit[0]
+                witness = float(v[h, k_best]), (r + int(a[h]), c0 + int(b[h]), k_best)
+    return witness
 
 
 def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
@@ -178,25 +201,14 @@ def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
     only on genuine violations.  A NaN entry makes the deficit NaN, with the
     first triple that meets one.
 
-    A finite matrix costs one min-plus pass for the value and the pairs
-    (i, j) attaining it, then a scan over k of those pairs only, which stops
-    at the first k attaining the value.  Non-finite matrices take the full
-    scan.
+    A finite matrix costs one min-plus pass, which also finds the witness.
+    Non-finite matrices take a scan over every k.
     """
     d = np.asarray(matrix, dtype=float)
     n = d.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
         if n and np.isfinite(d).all():
-            target, flat = _min_plus_deficit(d)
-            i, j = np.divmod(flat, n)
-            dij = d[i, j]
-            for k in range(n):
-                v = dij - (d[i, k] + d[k, j])
-                hit = np.flatnonzero(v == target)
-                if hit.size:
-                    a = hit[0]
-                    return float(v[a]), (int(i[a]), int(j[a]), k)
-            raise AssertionError("min-plus deficit not attained; unreachable")
+            return _min_plus_witness(d)
         worst = -math.inf
         witness = (0, 0, 0)
         for k in range(n):
@@ -259,8 +271,9 @@ def validate_metric(
         i = int(np.argmax(diag))
         raise NonzeroDiagonal(f"d[{i}][{i}] = {d[i, i]!r} is nonzero")
 
-    deficit, (i, j, k) = max_triangle_deficit(d)
-    if deficit > tol:
+    # the witness is looked for only when there is a violation to report
+    if _min_plus_deficit(d) > tol:
+        deficit, (i, j, k) = max_triangle_deficit(d)
         raise TriangleViolation(i, j, k, deficit)
 
     strictest = _strictest_kind(d)
