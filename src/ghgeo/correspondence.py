@@ -6,10 +6,11 @@ factors), where
 
     dis R = max{ | |xx'| - |yy'| | : (x,y), (x',y') in R }.
 
-The exact solver enumerates correspondences as bitmasks over the m*n pairs
-(bit i*n + j encodes pair (i, j)) with depth-first branch and bound, and is
-capped at m*n <= 25 bits.  A seeded local-search heuristic handles larger
-instances and returns an upper bound with a witness.
+The exact solver, capped at m*n <= 25 pair slots (bit i*n + j encodes pair
+(i, j)), searches over int bitsets of slots for covers of every row (point
+of X) and column (point of Y), branching on the line with the fewest
+candidates left (Knuth's Algorithm X).  A seeded local-search heuristic
+handles larger instances and returns an upper bound with a witness.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .metric_core import FiniteMetricSpace, _json_convert, _json_fields, _parse_json
 
-# Hard cap on exhaustive search: at most 2^25 candidate bitmasks.
+# Hard cap on the exact covering search: 25 pair slots, so 25-bit masks.
 MAX_EXACT_BITS = 25
 
 
@@ -234,34 +235,24 @@ def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace, views) -> list[int
     return codes
 
 
-def _bitsets(allowed: np.ndarray):
-    """Each row of a boolean array as an int whose bit q is column q; a 1-D
-    array gives one int."""
-    packed = np.packbits(allowed, axis=-1, bitorder="little")
-    raw = packed.tobytes()
-    if packed.ndim == 1:
-        return int.from_bytes(raw, "little")
-    w = packed.shape[1]
+def _bitsets(allowed: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array as an int whose bit q is column q."""
+    packed = np.packbits(allowed, axis=1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(raw[a : a + w], "little") for a in range(0, len(raw), w)]
 
 
 def _line_masks(m: int, n: int) -> list[int]:
-    """The slots of each line: rows 0..m-1, then columns as lines m..m+n-1.
-
-    Slot c lies on row c // n and on line m + c % n.
-    """
+    """The slots of each line: rows 0..m-1, then columns as lines m..m+n-1;
+    slot c lies on lines c // n and m + c % n."""
     column = sum(1 << (i * n) for i in range(m))
     return [((1 << n) - 1) << (i * n) for i in range(m)] + [column << j for j in range(n)]
 
 
 def _find_cover(compat, feas: int, lines, open_lines: list[int], m: int, n: int):
-    """Slots from ``feas``, pairwise compatible, that cover every open line,
-    or None.
-
-    Branches on the open line with the fewest candidates left (Knuth's
-    "fewest options first"); a candidate that was tried is dropped before
-    the next one.
-    """
+    """Pairwise compatible slots from ``feas`` covering every open line, or
+    None.  Branches on the open line with the fewest candidates left, and
+    drops each tried candidate before the next."""
     if not open_lines:
         return []
     fewest = min([feas & lines[line] for line in open_lines], key=int.bit_count)
@@ -279,21 +270,15 @@ def _find_cover(compat, feas: int, lines, open_lines: list[int], m: int, n: int)
 
 
 def _min_cover_value(table: np.ndarray, m: int, n: int, incumbent: float) -> float:
-    """Minimum distortion over all correspondences.
-
-    ``table[p][q]`` is the distortion of {p, q} and ``table[p][p]`` that of
-    {p}; ``incumbent`` must be attained by some correspondence.  Each round
-    looks for a cover whose entries all lie below the best value so far and
-    takes its distortion as the new best; when none exists, the best is the
-    minimum.
-    """
+    """Minimum distortion over all correspondences, where ``table[p][q]`` is
+    that of {p, q} and ``incumbent`` that of some correspondence.  Each
+    cover found with all entries below the best value becomes the best."""
     lines = _line_masks(m, n)
     best = incumbent
     while True:
         below = table < best
-        cover = _find_cover(
-            _bitsets(below), _bitsets(np.diagonal(below)), lines, list(range(m + n)), m, n
-        )
+        feas = _bitsets(np.diagonal(below)[None])[0]
+        cover = _find_cover(_bitsets(below), feas, lines, list(range(m + n)), m, n)
         if cover is None:
             return best
         best = float(table[cover][:, cover].max())
@@ -301,13 +286,9 @@ def _min_cover_value(table: np.ndarray, m: int, n: int, incumbent: float) -> flo
 
 def _canonical_cover(table: np.ndarray, m: int, n: int, d_star: float) -> int:
     """Smallest-cardinality, then smallest-bitmask correspondence with
-    distortion d_star.
-
-    Any optimal correspondence contains a covering subset of at most
-    m + n - 1 pairs whose distortion cannot exceed (hence equals) d_star,
-    so the cardinality loop always terminates.  A slot whose row and column
-    are both covered is never taken: a set holding it is not the smallest.
-    """
+    distortion d_star.  Any optimal correspondence holds a cover of at most
+    m + n - 1 pairs, so the cardinality loop ends.  A slot whose row and
+    column are both covered is never taken: that set is not the smallest."""
     within = table <= d_star
     compat = _bitsets(within)
     lines = _line_masks(m, n)
@@ -339,7 +320,7 @@ def _canonical_cover(table: np.ndarray, m: int, n: int, d_star: float) -> int:
         rest = [line for line in open_lines if line != b // n and line != m + b % n]
         return go(useful & compat[b], rest, count + 1, mask | high, budget)
 
-    feas = _bitsets(np.diagonal(within))
+    feas = _bitsets(np.diagonal(within)[None])[0]
     for budget in range(max(m, n), m + n):
         mask = go(feas, list(range(m + n)), 0, 0, budget)
         if mask is not None:

@@ -131,25 +131,29 @@ class PointSubset:
 BLOCK_ELEMENTS = 1 << 17
 
 
-def _min_plus_blocks(d: np.ndarray):
-    """For each block of rows of a finite matrix: (r, c0, block, sums,
-    deficit), where block = d[r : r + rows, c0:], sums[a, b, k] =
-    d[r + a][k] + d[k][c0 + b] and deficit = block - min_k sums.
+def _min_plus_deficit(
+    d: np.ndarray, above: float = -math.inf
+) -> tuple[float, tuple[int, int, int] | None]:
+    """The worst triangle deficit of a finite matrix and, unless it is below
+    ``above``, the first triple (i, j, k) attaining it, in the order k
+    ascending, then i * n + j.
 
     max_{i,j} (d[i][j] - min_k (d[i][k] + d[k][j])) is the worst deficit
     over all triples: the min-plus product holds one of the very sums the
     triple scan subtracts, and rounding of d - s is monotone in s.  An
     exactly symmetric d has a symmetric min-plus product, so each block of
-    rows starting at row r needs only the columns j >= r (c0 = r); these
-    hold the first pair (i <= j) of every mirrored one.  The sums of every
-    block live in one reused buffer of at most BLOCK_ELEMENTS elements (or
-    one row, if a row is larger), so a block must be used before the next.
-    The caller sets the floating-point error state.
+    rows starting at row r needs only the columns j >= r, which hold the
+    first pair (i <= j) of every mirrored one.  The block's sums live in one
+    reused buffer of at most BLOCK_ELEMENTS elements (or one row, if a row
+    is larger).  The block's pairs attaining the worst value so far are read
+    again from its sums, for the k below the best witness so far: earlier
+    blocks hold smaller i * n + j.
     """
     n = d.shape[0]
     dT = np.ascontiguousarray(d.T)
     symmetric = bool((d == dT).all())
     buf = np.empty(max(n * n, min(BLOCK_ELEMENTS, n**3)))
+    worst, k_best, witness = -math.inf, n, None
     r = 0
     while r < n:
         c0 = r if symmetric else 0
@@ -157,31 +161,11 @@ def _min_plus_blocks(d: np.ndarray):
         sums = buf[: rows * (n - c0) * n].reshape(rows, n - c0, n)
         np.add(d[r : r + rows, None, :], dT[None, c0:, :], out=sums)
         block = d[r : r + rows, c0:]
-        yield r, c0, block, sums, block - np.minimum.reduce(sums, axis=2)
-        r += rows
-
-
-def _min_plus_deficit(d: np.ndarray) -> float:
-    """The worst triangle deficit of a finite matrix, without a witness."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return max((float(b[-1].max()) for b in _min_plus_blocks(d)), default=-math.inf)
-
-
-def _min_plus_witness(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """The worst triangle deficit of a finite, nonempty matrix and the first
-    triple attaining it, from one min-plus pass.
-
-    Only the pairs of a block attaining the worst value so far are read
-    again, from the sums still in the buffer, over the k below the best
-    witness so far: earlier blocks hold smaller i * n + j.
-    """
-    n = d.shape[0]
-    worst, k_best = -math.inf, n
-    for r, c0, block, sums, deficit in _min_plus_blocks(d):
+        deficit = block - np.minimum.reduce(sums, axis=2)
         top = float(deficit.max())
         if top > worst:
             worst, k_best = top, n
-        if top == worst and k_best:
+        if top == worst and top >= above and k_best:
             a, b = np.nonzero(deficit == top)
             v = block[a, b][:, None] - sums[a, b, :k_best]
             # transposed, nonzero runs k first, then the pairs in order
@@ -189,7 +173,8 @@ def _min_plus_witness(d: np.ndarray) -> tuple[float, tuple[int, int, int]]:
             if k.size:
                 k_best, h = int(k[0]), hit[0]
                 witness = float(v[h, k_best]), (r + int(a[h]), c0 + int(b[h]), k_best)
-    return witness
+        r += rows
+    return witness or (worst, None)
 
 
 def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
@@ -208,7 +193,7 @@ def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
     n = d.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
         if n and np.isfinite(d).all():
-            return _min_plus_witness(d)
+            return _min_plus_deficit(d)
         worst = -math.inf
         witness = (0, 0, 0)
         for k in range(n):
@@ -271,10 +256,10 @@ def validate_metric(
         i = int(np.argmax(diag))
         raise NonzeroDiagonal(f"d[{i}][{i}] = {d[i, i]!r} is nonzero")
 
-    # the witness is looked for only when there is a violation to report
-    if _min_plus_deficit(d) > tol:
-        deficit, (i, j, k) = max_triangle_deficit(d)
-        raise TriangleViolation(i, j, k, deficit)
+    with np.errstate(invalid="ignore", over="ignore"):
+        deficit, witness = _min_plus_deficit(d, above=tol)
+    if deficit > tol:
+        raise TriangleViolation(*witness, deficit)
 
     strictest = _strictest_kind(d)
     if kind == "metric" and strictest != "metric":

@@ -282,6 +282,11 @@ class TestTriangleScan:
         d = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
         assert max_triangle_deficit(np.array(d)) == naive_triangle_witness(d) == (3.0, (2, 0, 1))
 
+    def test_every_sum_overflows(self):
+        # every deficit is -inf; the first triple is still (0, 0, 0)
+        d = [[1e308] * 3 for _ in range(3)]
+        assert max_triangle_deficit(np.array(d)) == naive_triangle_witness(d) == (-math.inf, (0, 0, 0))
+
     def test_exact_graph_metric_stops_at_first_k(self):
         # a 20 x 20 grid graph: every pair ties at deficit 0, so the witness
         # is (0, 0, 0) and the witness scan ends after k = 0
