@@ -57,7 +57,6 @@ from .correspondence import (
     load_correspondence,
 )
 from .geodesic import (
-    GeodesicSlice,
     SliceGHCheck,
     geodesic_slice,
     pullback_matrices,
@@ -68,7 +67,6 @@ from .realization import (
     CallableFamily,
     ConditionCheck,
     ConditionWitness,
-    GridSampledFamily,
     InterpolationFamily,
     ParamGrid,
     ProductSpace,

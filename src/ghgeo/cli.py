@@ -107,7 +107,7 @@ def _cmd_dist(args) -> RunResult:
 def _cmd_geodesic(args) -> RunResult:
     x, y = _load_two_spaces(args)
     witness = _witness_for(args, x, y)
-    space = geodesic_slice(witness, x, y, args.t).as_space()
+    space = geodesic_slice(witness, x, y, args.t)
     payload = _dumps(space.to_json_dict())
     if args.output:
         Path(args.output).write_text(payload)

@@ -45,42 +45,18 @@ def pullback_matrices(
     return dx, dy, labels
 
 
-@dataclass(frozen=True, eq=False)
-class GeodesicSlice:
-    """The set R with the metric interpolated at parameter t."""
-
-    corr: Correspondence
-    t: float
-    dx: np.ndarray
-    dy: np.ndarray
-    labels: tuple[str, ...]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return (1.0 - self.t) * self.dx + self.t * self.dy
-
-    def distance(self, p: int, q: int) -> float:
-        return float((1.0 - self.t) * self.dx[p, q] + self.t * self.dy[p, q])
-
-    def __len__(self) -> int:
-        return self.dx.shape[0]
-
-    def as_space(self) -> FiniteMetricSpace:
-        """Export as a space; kind is the strictest that holds for the matrix."""
-        m = self.matrix
-        return FiniteMetricSpace(
-            labels=self.labels, dist=m, kind=_strictest_kind(m), name=f"geodesic(t={self.t})"
-        )
-
-
 def geodesic_slice(
     R: Correspondence, x: FiniteMetricSpace, y: FiniteMetricSpace, t: float
-) -> GeodesicSlice:
-    """Build the slice R_t for t in [0, 1]."""
+) -> FiniteMetricSpace:
+    """The slice R_t for t in [0, 1], as a space of the strictest kind that holds."""
     if not 0.0 <= t <= 1.0:
         raise ParameterOutOfRange(f"t = {t!r} outside [0, 1]")
+    t = float(t)
     dx, dy, labels = pullback_matrices(R, x, y)
-    return GeodesicSlice(corr=R, t=float(t), dx=dx, dy=dy, labels=labels)
+    m = (1.0 - t) * dx + t * dy
+    return FiniteMetricSpace(
+        labels=labels, dist=m, kind=_strictest_kind(m), name=f"geodesic(t={t})"
+    )
 
 
 @dataclass(frozen=True)
@@ -119,7 +95,7 @@ def slice_gh_check(
         raise NotOptimalCorrespondence(
             f"half distortion {half_dis!r} differs from d_GH = {base.value!r}"
         )
-    slice_t = geodesic_slice(R, x, y, t).as_space()
-    slice_s = geodesic_slice(R, x, y, s).as_space()
+    slice_t = geodesic_slice(R, x, y, t)
+    slice_s = geodesic_slice(R, x, y, s)
     actual = gh_distance_exact(slice_t, slice_s).value
     return SliceGHCheck(expected=abs(t - s) * base.value, actual=actual)

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .correspondence import Correspondence, distortion
+from .correspondence import Correspondence
 from .errors import (
     ConditionFailed,
     DegenerateGeodesic,
@@ -152,30 +152,6 @@ class CallableFamily(InterpolationFamily):
         if m.shape != (self.ground_size, self.ground_size):
             raise ValueError(f"family evaluator returned shape {m.shape}")
         return m
-
-
-class GridSampledFamily(InterpolationFamily):
-    """Family known only at finitely many parameter values (loaded products)."""
-
-    def __init__(
-        self,
-        values: Sequence[float],
-        matrices: Sequence[np.ndarray],
-        labels: Sequence[str] | None = None,
-    ):
-        if len(values) != len(matrices) or len(values) < 2:
-            raise ValueError("need one matrix per parameter value, at least two")
-        size = np.asarray(matrices[0]).shape[0]
-        super().__init__(size, values[0], values[-1], labels)
-        self._table = {float(t): np.array(m, dtype=float) for t, m in zip(values, matrices)}
-
-    def dist_at(self, t: float) -> np.ndarray:
-        try:
-            return self._table[float(t)]
-        except KeyError:
-            raise ParameterOutOfRange(
-                f"t = {t!r} is not one of the sampled parameter values"
-            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +401,7 @@ class ProductSpace:
     family: InterpolationFamily
     c: float
     grid: ParamGrid
-    points: tuple[tuple[int, float], ...]
     dist: np.ndarray
-    checks: tuple[ConditionCheck, ConditionCheck] | None = None
-    forced: bool = False
 
     @property
     def ground_size(self) -> int:
@@ -451,7 +424,9 @@ class ProductSpace:
             "c": self.c,
             "grid": list(self.grid.values),
             "points": [
-                {"z": z, "label": labels[z], "t": t} for z, t in self.points
+                {"z": z, "label": labels[z], "t": t}
+                for t in self.grid.values
+                for z in range(self.ground_size)
             ],
             "matrix": self.dist.tolist(),
         }
@@ -504,16 +479,7 @@ def build_product(
             d[cols, rows] = blocks.transpose(0, 2, 1).reshape(-1, z)
             d[rows, cols] = blocks.transpose(1, 0, 2).reshape(z, -1)
     d.setflags(write=False)
-    points = tuple((zz, t) for t in grid.values for zz in range(z))
-    return ProductSpace(
-        family=family,
-        c=float(c),
-        grid=grid,
-        points=points,
-        dist=d,
-        checks=(mono, lips),
-        forced=force and not (mono.ok and lips.ok),
-    )
+    return ProductSpace(family=family, c=float(c), grid=grid, dist=d)
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +507,6 @@ class VerificationReport:
     symmetry_error: float
     diagonal_error: float
     tol: float
-
-    @property
-    def monotone_ok(self) -> bool:
-        return self.monotone.ok
-
-    @property
-    def lipschitz_ok(self) -> bool:
-        return self.lipschitz.ok
 
     @property
     def passed(self) -> bool:
@@ -665,8 +623,10 @@ def realize_geodesic(
     d_H(R_t, R_s) = d_GH(X, Y) * |t - s|.
     """
     _check_tol(tol)
-    dis = distortion(R, x, y)
+    family = RectilinearFamily.from_correspondence(R, x, y)
     if c_override is None:
+        # the largest |dy - dx| over R x R is dis(R), bit for bit
+        dis = family.max_abs_slope()
         if dis == 0.0:
             raise DegenerateGeodesic(
                 "distortion is zero (isometric inputs); pass an explicit c"
@@ -675,7 +635,6 @@ def realize_geodesic(
     else:
         _check_c(c_override)
         c = float(c_override)
-    family = RectilinearFamily.from_correspondence(R, x, y)
     if grid is None:
         grid = ParamGrid.uniform()
     prod = build_product(family, c, grid, tol=tol, force=force)
@@ -738,10 +697,17 @@ def product_from_json_dict(data: dict) -> ProductSpace:
     perm = [where[(zz, pos)] for pos in range(k) for zz in range(z)]
     d = mat[np.ix_(perm, perm)]
     d.setflags(write=False)
-    slices = [d[i * z : (i + 1) * z, i * z : (i + 1) * z] for i in range(k)]
-    family = GridSampledFamily(grid.values, slices, [str(s) for s in labels])
-    points = tuple((zz, t) for t in grid.values for zz in range(z))
-    return ProductSpace(family=family, c=c, grid=grid, points=points, dist=d)
+
+    def sampled(t: float) -> np.ndarray:
+        if t not in pos_of:
+            raise ParameterOutOfRange(
+                f"t = {t!r} is not one of the sampled parameter values"
+            )
+        i = pos_of[t]
+        return d[i * z : (i + 1) * z, i * z : (i + 1) * z]
+
+    family = CallableFamily(z, grid.a, grid.b, sampled, [str(s) for s in labels])
+    return ProductSpace(family=family, c=c, grid=grid, dist=d)
 
 
 def load_product(path: str | Path) -> ProductSpace:

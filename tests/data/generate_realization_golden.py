@@ -123,8 +123,8 @@ CALLABLE = [
 def product_record(prod) -> dict:
     data = prod.to_json_dict()
     text = json.dumps(data, allow_nan=False)
-    out = {"points": len(prod.points), "sha256": hashlib.sha256(text.encode()).hexdigest()}
-    if len(prod.points) <= FULL_PRODUCT_POINTS:
+    out = {"points": len(prod.dist), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    if len(prod.dist) <= FULL_PRODUCT_POINTS:
         out["product"] = data
     return out
 

@@ -1,7 +1,9 @@
 """Tests for the command-line front end and its exit-code contract."""
 
 import copy
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ from ghgeo.cli import (
 )
 
 from instances import planar_space
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.fixture
@@ -426,3 +430,17 @@ class TestContractProperty:
         names = dict(f=str(f), x=contract_files["x"], y=contract_files["y"])
         for argv in self.COMMANDS[kind]:
             assert_contract(run([a.format(**names) for a in argv]))
+
+
+class TestBenchmarkContract:
+    def test_traced_names_resolve(self, monkeypatch):
+        # the traced benchmark run wraps these by name; a removed one would
+        # only show up there
+        import ghgeo
+        import ghgeo.cli  # noqa: F401
+
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        tracing = importlib.import_module("tracing")
+        for mod, fname in [*tracing.TRACED, *tracing.ALIASES]:
+            assert callable(getattr(getattr(ghgeo, mod), fname)), (mod, fname)
+        assert callable(ghgeo.realization.ProductSpace.to_json_dict)

@@ -10,6 +10,7 @@ from ghgeo import (
     SearchSpaceTooLarge,
     gh_distance_exact,
     geodesic_slice,
+    pullback_matrices,
     slice_gh_check,
     validate_metric,
 )
@@ -29,13 +30,13 @@ def optimal_bijection():
 class TestSliceConstruction:
     def test_endpoint_t0_pulls_back_source(self):
         x, y, r = optimal_bijection()
-        s = geodesic_slice(r, x, y, 0.0)
-        assert np.array_equal(s.matrix, s.dx)
+        dx, _, _ = pullback_matrices(r, x, y)
+        assert np.array_equal(geodesic_slice(r, x, y, 0.0).dist, dx)
 
     def test_endpoint_t1_pulls_back_target(self):
         x, y, r = optimal_bijection()
-        s = geodesic_slice(r, x, y, 1.0)
-        assert np.array_equal(s.matrix, s.dy)
+        _, dy, _ = pullback_matrices(r, x, y)
+        assert np.array_equal(geodesic_slice(r, x, y, 1.0).dist, dy)
 
     def test_midpoint_value(self):
         x, y, r = optimal_bijection()
@@ -47,9 +48,16 @@ class TestSliceConstruction:
         with pytest.raises(ParameterOutOfRange):
             geodesic_slice(r, x, y, 1.5)
 
+    def test_slice_is_read_only(self):
+        x, y, r = optimal_bijection()
+        space = geodesic_slice(r, x, y, 0.5)
+        with pytest.raises(ValueError):
+            space.dist[0, 1] = 0.0
+        assert space.distance(0, 1) == 1.5
+
     def test_labels_and_name(self):
         x, y, r = optimal_bijection()
-        space = geodesic_slice(r, x, y, 0.25).as_space()
+        space = geodesic_slice(r, x, y, 0.25)
         assert space.name == "geodesic(t=0.25)"
         # witness is {(0,1),(1,0)}; labels compose source then target label
         assert space.labels == ("(p0,p1)", "(p1,p0)")
@@ -57,13 +65,13 @@ class TestSliceConstruction:
     def test_interior_slice_is_metric(self):
         x, y = two_point_space(2.0), one_point_space()
         r = Correspondence(2, 1, frozenset({(0, 0), (1, 0)}))
-        space = geodesic_slice(r, x, y, 0.5).as_space()
+        space = geodesic_slice(r, x, y, 0.5)
         assert space.kind == "metric"
 
     def test_collapsed_endpoint_is_pseudometric(self):
         x, y = two_point_space(2.0), one_point_space()
         r = Correspondence(2, 1, frozenset({(0, 0), (1, 0)}))
-        space = geodesic_slice(r, x, y, 1.0).as_space()
+        space = geodesic_slice(r, x, y, 1.0)
         assert space.kind == "pseudometric"
         assert space.distance(0, 1) == 0.0
 
@@ -71,14 +79,14 @@ class TestSliceConstruction:
         # collapse happens only on the far coordinate at t=0
         x, y = two_point_space(2.0), one_point_space()
         r = Correspondence(2, 1, frozenset({(0, 0), (1, 0)}))
-        assert geodesic_slice(r, x, y, 0.0).as_space().kind == "metric"
+        assert geodesic_slice(r, x, y, 0.0).kind == "metric"
 
     def test_slice_matrices_validate(self):
         for seed in range(5):
             x, y = planar_pair(seed + 30, sizes=(2, 3))
             r = gh_distance_exact(x, y).witness
             for t in (0.0, 0.3, 0.5, 1.0):
-                m = geodesic_slice(r, x, y, t).matrix
+                m = geodesic_slice(r, x, y, t).dist
                 validate_metric(m, kind="pseudometric", tol=1e-9)
 
 
@@ -87,10 +95,10 @@ class TestSliceProperties:
         for seed in range(8):
             x, y = planar_pair(seed + 50, sizes=(2, 3))
             r = gh_distance_exact(x, y).witness
-            m0 = geodesic_slice(r, x, y, 0.0).matrix
-            m1 = geodesic_slice(r, x, y, 1.0).matrix
+            m0 = geodesic_slice(r, x, y, 0.0).dist
+            m1 = geodesic_slice(r, x, y, 1.0).dist
             for t in (0.1, 0.25, 0.5, 0.75, 0.9):
-                mt = geodesic_slice(r, x, y, t).matrix
+                mt = geodesic_slice(r, x, y, t).dist
                 assert np.abs(mt - ((1 - t) * m0 + t * m1)).max() <= 1e-15
 
     def test_pairwise_monotonicity_in_t(self):
@@ -98,7 +106,7 @@ class TestSliceProperties:
             x, y = planar_pair(seed + 70, sizes=(2, 3))
             r = gh_distance_exact(x, y).witness
             ts = [0.0, 0.25, 0.5, 0.75, 1.0]
-            mats = [geodesic_slice(r, x, y, t).matrix for t in ts]
+            mats = [geodesic_slice(r, x, y, t).dist for t in ts]
             diffs = np.stack([mats[i + 1] - mats[i] for i in range(len(ts) - 1)])
             rising = (diffs >= 0).all(axis=0)
             falling = (diffs <= 0).all(axis=0)
@@ -111,7 +119,7 @@ class TestSliceProperties:
             x, y = planar_pair(seed + 90, sizes=(2, 3))
             r = gh_distance_exact(x, y).witness
             for t in (0.1, 0.5, 0.9):
-                worst, _ = max_triangle_deficit(geodesic_slice(r, x, y, t).matrix)
+                worst, _ = max_triangle_deficit(geodesic_slice(r, x, y, t).dist)
                 assert worst <= 1e-12
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from ghgeo import (
     ConditionFailed,
     Correspondence,
     DegenerateGeodesic,
-    GridSampledFamily,
     NonpositiveC,
     ParamGrid,
     ParameterOutOfRange,
@@ -27,6 +27,7 @@ from ghgeo import (
     check_monotone_exact,
     gh_distance_exact,
     distortion,
+    geodesic_slice,
     load_product,
     product_distance,
     product_from_json_dict,
@@ -35,7 +36,7 @@ from ghgeo import (
     verify_product,
 )
 
-from instances import line_space, one_point_space, planar_pair, two_point_space
+from instances import graph_matrix, line_space, one_point_space, planar_pair, two_point_space
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -210,8 +211,7 @@ class TestBuildProduct:
     def test_forced_build_records_violation(self):
         fam = interp_family()
         prod = build_product(fam, 0.25, ParamGrid.uniform(5), force=True)
-        assert prod.forced
-        assert not prod.checks[1].ok
+        assert not verify_product(prod).lipschitz.ok
 
     def test_nonpositive_c_rejected(self):
         with pytest.raises(NonpositiveC):
@@ -454,14 +454,32 @@ class TestProductFormat:
         r = gh_distance_exact(x, y).witness
         return realize_geodesic(x, y, r, grid=ParamGrid((0.0, 0.5, 1.0)))
 
-    def test_round_trip_verifies(self, tmp_path):
+    def _reloaded(self, tmp_path):
         prod, _ = self._sample()
         path = tmp_path / "prod.json"
         path.write_text(json.dumps(prod.to_json_dict()))
-        loaded = load_product(path)
+        return prod, load_product(path)
+
+    def test_round_trip_verifies(self, tmp_path):
+        prod, loaded = self._reloaded(tmp_path)
         assert np.array_equal(loaded.dist, prod.dist)
-        assert isinstance(loaded.family, GridSampledFamily)
         assert verify_product(loaded).passed
+
+    def test_loaded_family_is_known_on_the_grid_only(self, tmp_path):
+        _, loaded = self._reloaded(tmp_path)
+        for i, t in enumerate(loaded.grid):
+            assert np.array_equal(loaded.family.dist_at(t), loaded.slice_matrix(i))
+        for t in (0.25, 0.75, -0.5, 1.5):
+            with pytest.raises(ParameterOutOfRange):
+                loaded.family.dist_at(t)
+
+    def test_loaded_family_is_read_only(self, tmp_path):
+        # a write into a loaded slice used to change the next verification
+        _, loaded = self._reloaded(tmp_path)
+        before = verify_product(loaded).to_json_dict()
+        with pytest.raises(ValueError):
+            loaded.family.dist_at(0.5)[0, 1] += 0.25
+        assert verify_product(loaded).to_json_dict() == before
 
     def test_wrapped_payload_accepted(self, tmp_path):
         prod, report = self._sample()
@@ -482,6 +500,47 @@ class TestProductFormat:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError):
             product_from_json_dict({"c": 1.0, "grid": [0.0, 1.0], "points": []})
+
+
+def seeded_pair(kind: str, seed: int):
+    """Planar pairs from planar_pair, or tie-heavy graph pairs of 2-4 points."""
+    if kind == "planar":
+        return planar_pair(seed + 1100, sizes=(2, 3, 4))
+    rng = random.Random(seed + 1100)
+    return tuple(
+        validate_metric(graph_matrix(rng, rng.randint(2, 4)), name=name) for name in "XY"
+    )
+
+
+class TestOneGeodesic:
+    """geodesic_slice and RectilinearFamily spell the same R_t."""
+
+    @pytest.mark.parametrize("kind", ["planar", "graph"])
+    def test_slice_equals_family_bit_for_bit(self, kind):
+        for seed in range(8):
+            x, y = seeded_pair(kind, seed)
+            r = gh_distance_exact(x, y).witness
+            family = RectilinearFamily.from_correspondence(r, x, y)
+            for t in ParamGrid.uniform(11):
+                slice_t = geodesic_slice(r, x, y, t).dist
+                assert slice_t.tobytes() == family.dist_at(t).tobytes()
+
+    @pytest.mark.parametrize("kind", ["planar", "graph"])
+    def test_default_c_is_half_distortion(self, kind):
+        checked = 0
+        for seed in range(8):
+            x, y = seeded_pair(kind, seed)
+            full = Correspondence(len(x), len(y), frozenset(
+                (i, j) for i in range(len(x)) for j in range(len(y))
+            ))
+            for r in (gh_distance_exact(x, y).witness, full):
+                dis = distortion(r, x, y)
+                if dis == 0.0:
+                    continue
+                prod, _ = realize_geodesic(x, y, r)
+                assert prod.c == 0.5 * dis
+                checked += 1
+        assert checked >= 8
 
 
 class TestGoldenProducts:
