@@ -180,34 +180,17 @@ def _require_within_cap(m: int, n: int) -> None:
 # the objective: one pair-delta kernel for every search
 # ---------------------------------------------------------------------------
 
-def _objective(
-    x: FiniteMetricSpace, y: FiniteMetricSpace
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """The (dX, dY) orientations the kernel reads and every slot's own term.
+def _deltas(x: FiniteMetricSpace, y: FiniteMetricSpace, members: np.ndarray) -> np.ndarray:
+    """D[q, b] = | dX[i][i'] - dY[j][j'] | for slot q = i*n+j and member
+    b = i'*n+j'.
 
-    Both orientations are read unless both matrices are exactly symmetric;
-    the own term of slot i*n+j is |dX[i][i] - dY[j][j]|.
+    Both matrices are in normal form, so D[q, b] == D[b, q] and D[b, b] == 0:
+    the maximum of D over members x members is distortion()'s own maximum,
+    and every search optimizes exactly the value it reports.
     """
-    views = [(x.dist, y.dist)]
-    if not (np.array_equal(x.dist, x.dist.T) and np.array_equal(y.dist, y.dist.T)):
-        views.append((x.dist.T, y.dist.T))
-    own = np.abs(np.diag(x.dist)[:, None] - np.diag(y.dist)[None, :]).ravel()
-    return views, own
-
-
-def _deltas(views, n: int, members: np.ndarray) -> np.ndarray:
-    """D[q, b] = delta between slot q and member b, the larger of its two
-    orientations; D[b, b] is slot b's own term.
-
-    The maximum of D over members x members is distortion()'s own maximum,
-    so every search optimizes exactly the value it reports.
-    """
-    ui, uj = np.divmod(members, n)
-    d = None
-    for dx, dy in views:
-        e = dx[:, ui][:, None, :] - dy[:, uj][None, :, :]
-        np.abs(e, out=e)
-        d = e if d is None else np.maximum(d, e, out=d)
+    ui, uj = np.divmod(members, len(y))
+    d = x.dist[:, ui][:, None, :] - y.dist[:, uj][None, :, :]
+    np.abs(d, out=d)
     return d.reshape(-1, len(members))
 
 
@@ -215,7 +198,7 @@ def _deltas(views, n: int, members: np.ndarray) -> np.ndarray:
 # exact solver
 # ---------------------------------------------------------------------------
 
-def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace, views) -> list[int]:
+def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace) -> list[int]:
     """Deterministic starting correspondence: zip points sorted by eccentricity,
     then attach leftover points of the larger side greedily."""
     m, n = len(x), len(y)
@@ -230,7 +213,7 @@ def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace, views) -> list[int
     else:
         steps = [[i * n + order_y[a] for i in range(m)] for a in range(m, n)]
     for candidates in steps:
-        d = _deltas(views, n, np.array(candidates))
+        d = _deltas(x, y, np.array(candidates))
         codes.append(candidates[int(np.argmin(d[codes].max(axis=0)))])
     return codes
 
@@ -272,16 +255,18 @@ def _find_cover(compat, feas: int, lines, open_lines: list[int], m: int, n: int)
 def _min_cover_value(table: np.ndarray, m: int, n: int, incumbent: float) -> float:
     """Minimum distortion over all correspondences, where ``table[p][q]`` is
     that of {p, q} and ``incumbent`` that of some correspondence.  Each
-    cover found with all entries below the best value becomes the best."""
+    cover found with all entries below the best value becomes the best,
+    until none is found or the best is 0.  A single slot has distortion 0,
+    so every slot starts feasible."""
     lines = _line_masks(m, n)
     best = incumbent
-    while True:
-        below = table < best
-        feas = _bitsets(np.diagonal(below)[None])[0]
-        cover = _find_cover(_bitsets(below), feas, lines, list(range(m + n)), m, n)
+    while best > 0.0:
+        compat = _bitsets(table < best)
+        cover = _find_cover(compat, (1 << m * n) - 1, lines, list(range(m + n)), m, n)
         if cover is None:
-            return best
+            break
         best = float(table[cover][:, cover].max())
+    return best
 
 
 def _canonical_cover(table: np.ndarray, m: int, n: int, d_star: float) -> int:
@@ -320,9 +305,8 @@ def _canonical_cover(table: np.ndarray, m: int, n: int, d_star: float) -> int:
         rest = [line for line in open_lines if line != b // n and line != m + b % n]
         return go(useful & compat[b], rest, count + 1, mask | high, budget)
 
-    feas = _bitsets(np.diagonal(within)[None])[0]
     for budget in range(max(m, n), m + n):
-        mask = go(feas, list(range(m + n)), 0, 0, budget)
+        mask = go((1 << m * n) - 1, list(range(m + n)), 0, 0, budget)
         if mask is not None:
             return mask
     raise AssertionError("no witness within m+n-1 pairs; unreachable")
@@ -337,14 +321,9 @@ def gh_distance_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     """
     m, n = len(x), len(y)
     _require_within_cap(m, n)
-    views, own = _objective(x, y)
-    table = _deltas(views, n, np.arange(m * n))
-    start = _greedy_codes(x, y, views)
+    table = _deltas(x, y, np.arange(m * n))
+    start = _greedy_codes(x, y)
     incumbent = float(table[start][:, start].max())
-    # fold the own terms into the pair entries once: table[p][q] is then the
-    # distortion of {p, q}, and the diagonal already holds that of {p}
-    np.maximum(table, own[:, None], out=table)
-    np.maximum(table, own[None, :], out=table)
     d_star = _min_cover_value(table, m, n, incumbent)
     mask = _canonical_cover(table, m, n, d_star)
     witness = Correspondence.from_bitmask(m, n, mask)
@@ -381,7 +360,7 @@ def _top2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _first_move(
-    d: np.ndarray, cur: float, diag: np.ndarray, members: np.ndarray, m: int, n: int
+    d: np.ndarray, cur: float, members: np.ndarray, m: int, n: int
 ) -> np.ndarray | None:
     """The members after the first improving move, or None at a local minimum.
 
@@ -405,7 +384,7 @@ def _first_move(
         return np.delete(members, hit[0])
     # max over u in R - {p} of delta[q][u] for every slot q, the same way
     top, top_at, second = _top2(d)
-    open_slots = diag < cur
+    open_slots = np.ones(m * n, dtype=bool)
     open_slots[members] = False
     slot_rows, slot_cols = np.divmod(np.arange(m * n), n)
     for b in np.flatnonzero(base < cur):
@@ -420,15 +399,16 @@ def _first_move(
     return None
 
 
-def _descend(views, diag: np.ndarray, m: int, n: int, codes, max_steps: int) -> tuple[float, set[int]]:
+def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) -> tuple[float, set[int]]:
     """First-improvement hill climbing on distortion, at most ``max_steps``
     moves.  Each step scores every move from one (mn) x |R| array."""
+    m, n = len(x), len(y)
     members = np.array(sorted(codes))
     steps = 0
     while True:
-        d = _deltas(views, n, members)
+        d = _deltas(x, y, members)
         cur = float(d[members].max())
-        moved = _first_move(d, cur, diag, members, m, n) if steps < max_steps else None
+        moved = _first_move(d, cur, members, m, n) if steps < max_steps else None
         if moved is None:
             return cur, set(members.tolist())
         members = moved
@@ -465,17 +445,16 @@ def gh_distance_heuristic(
 
     cfg = config or HeuristicConfig()
     m, n = len(x), len(y)
-    views, diag = _objective(x, y)
     rng = random.Random(cfg.seed)
 
     best_dis = None
     best_codes: set[int] = set()
     for restart in range(cfg.restarts):
         if restart == 0:
-            codes = _greedy_codes(x, y, views)
+            codes = _greedy_codes(x, y)
         else:
             codes = _random_codes(rng, m, n)
-        dis_val, codes = _descend(views, diag, m, n, codes, cfg.iterations)
+        dis_val, codes = _descend(x, y, codes, cfg.iterations)
         if best_dis is None or dis_val < best_dis:
             best_dis = dis_val
             best_codes = codes

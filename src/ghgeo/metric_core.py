@@ -9,7 +9,8 @@ matrix.  For nonempty subsets A, B of one space the module computes
 
 which is the classical Hausdorff distance.  Matrices are validated against
 the metric axioms with an absolute tolerance, so distance matrices computed
-from floating-point embeddings are accepted.
+from floating-point embeddings are accepted, and stored in one normal form:
+exactly symmetric, nonnegative and zero on the diagonal.
 """
 
 from __future__ import annotations
@@ -45,13 +46,40 @@ def _frozen_matrix(matrix) -> np.ndarray:
     return arr
 
 
+def _check_form(d: np.ndarray, tol: float) -> bool:
+    """Raise unless the square matrix ``d`` is finite, and symmetric,
+    nonnegative and zero on the diagonal within ``tol``, naming the worst
+    entry.  Returns whether ``d`` is exactly in that form, the normal form
+    every space holds."""
+    # min and max propagate a NaN, so both are finite exactly when every entry is
+    low, high = float(d.min()), float(d.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise NonFiniteEntry("matrix contains NaN or infinite entries")
+    asym = np.abs(d - d.T)
+    worst = float(asym.max())
+    if worst > tol:
+        i, j = np.unravel_index(int(np.argmax(asym)), d.shape)
+        raise AsymmetricMatrix(f"d[{i}][{j}] = {d[i, j]!r} but d[{j}][{i}] = {d[j, i]!r}")
+    if low < -tol:
+        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
+        raise NegativeEntry(f"d[{i}][{j}] = {d[i, j]!r} is negative")
+    diag = np.abs(d.diagonal())
+    worst_diag = float(diag.max())
+    if worst_diag > tol:
+        i = int(np.argmax(diag))
+        raise NonzeroDiagonal(f"d[{i}][{i}] = {d[i, i]!r} is nonzero")
+    return worst == 0.0 and low >= 0.0 and worst_diag == 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite set of labelled points with a (pseudo)metric distance matrix.
 
     ``kind`` records whether all off-diagonal distances are strictly positive
     ("metric") or zero distances between distinct points are allowed
-    ("pseudometric").  Instances are immutable; the matrix is read-only.
+    ("pseudometric").  The matrix is finite and in normal form: exactly
+    symmetric, nonnegative and zero on the diagonal.  Instances are
+    immutable; the matrix is read-only.
     """
 
     labels: tuple[str, ...]
@@ -70,6 +98,7 @@ class FiniteMetricSpace:
             )
         if self.kind not in ("metric", "pseudometric"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        _check_form(arr, 0.0)
         object.__setattr__(self, "dist", arr)
 
     def __len__(self) -> int:
@@ -209,9 +238,9 @@ def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
 
 
 def _strictest_kind(d: np.ndarray) -> Kind:
-    """"metric" when every off-diagonal entry is positive, else "pseudometric"."""
-    off = d[~np.eye(d.shape[0], dtype=bool)]
-    return "metric" if bool((off > 0.0).all()) else "pseudometric"
+    """"metric" when every off-diagonal entry is positive (the diagonal is 0)."""
+    n = d.shape[0]
+    return "metric" if np.count_nonzero(d > 0.0) == n * (n - 1) else "pseudometric"
 
 
 def _check_tol(tol: float) -> None:
@@ -227,43 +256,35 @@ def validate_metric(
     labels: Sequence[str] | None = None,
     name: str = "",
 ) -> FiniteMetricSpace:
-    """Check the (pseudo)metric axioms and build a validated space.
-
-    ``kind`` is the weakest kind the caller will accept: demanding "metric"
-    rejects zero off-diagonal entries, demanding "pseudometric" allows them.
-    The returned space reports the strictest kind that actually holds.
-    All checks use the absolute tolerance ``tol``, a finite number >= 0.
+    """Check the (pseudo)metric axioms on ``matrix`` with the absolute
+    tolerance ``tol`` (finite, >= 0) and build a space holding its normal
+    form max(d, d.T, 0) with a zero diagonal, whose worst triangle deficit is
+    at most max(d's, 0).  ``kind`` is the weakest kind the caller accepts:
+    "metric" rejects zero off-diagonal entries of the stored matrix.  The
+    space reports the strictest kind that holds.
     """
     _check_tol(tol)
     d = np.array(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise NonSquareMatrix(f"expected a square matrix, got shape {d.shape}")
-    if not np.isfinite(d).all():
-        raise NonFiniteEntry("matrix contains NaN or infinite entries")
+    exact = _check_form(d, tol)
     n = d.shape[0]
-
-    asym = float(np.abs(d - d.T).max()) if n else 0.0
-    if asym > tol:
-        i, j = np.unravel_index(int(np.argmax(np.abs(d - d.T))), d.shape)
-        raise AsymmetricMatrix(
-            f"d[{i}][{j}] = {d[i, j]!r} but d[{j}][{i}] = {d[j, i]!r}"
-        )
-    if float(d.min()) < -tol:
-        i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-        raise NegativeEntry(f"d[{i}][{j}] = {d[i, j]!r} is negative")
-    diag = np.abs(np.diag(d))
-    if n and float(diag.max()) > tol:
-        i = int(np.argmax(diag))
-        raise NonzeroDiagonal(f"d[{i}][{i}] = {d[i, i]!r} is nonzero")
-
     with np.errstate(invalid="ignore", over="ignore"):
         deficit, witness = _min_plus_deficit(d, above=tol)
     if deficit > tol:
         raise TriangleViolation(*witness, deficit)
 
-    strictest = _strictest_kind(d)
+    # a matrix already in normal form is kept bit for bit, signed zeros
+    # included; np.maximum(-0.0, 0.0) reads 0.0
+    normal = d
+    if not exact:
+        normal = np.maximum(d, d.T)
+        np.maximum(normal, 0.0, out=normal)
+        np.fill_diagonal(normal, 0.0)
+
+    strictest = _strictest_kind(normal)
     if kind == "metric" and strictest != "metric":
-        mask = (d <= 0.0) & ~np.eye(n, dtype=bool)
+        mask = (normal <= 0.0) & ~np.eye(n, dtype=bool)
         i, j = np.argwhere(mask)[0]
         raise ZeroOffDiagonal(
             f"distinct points {i} and {j} at distance {d[i, j]!r}"
@@ -273,7 +294,7 @@ def validate_metric(
         labels = [f"p{i}" for i in range(n)]
     return FiniteMetricSpace(
         labels=tuple(labels),
-        dist=d,
+        dist=normal,
         kind=strictest,
         name=name,
     )

@@ -66,25 +66,23 @@ DEFAULT_GRID_SIZE = 11
 # ---------------------------------------------------------------------------
 
 class InterpolationFamily:
-    """A one-parameter family of pseudometric matrices on a fixed ground set."""
+    """An immutable one-parameter family of pseudometric matrices on a fixed
+    ground set; constructors store attributes through ``vars(self)``."""
 
     def __init__(self, ground_size: int, a: float, b: float, labels: Sequence[str] | None = None):
         if ground_size <= 0:
             raise ValueError("ground set must be nonempty")
         if not a < b:
             raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-        self.a = float(a)
-        self.b = float(b)
-        self._ground_size = int(ground_size)
-        self.labels: tuple[str, ...] = tuple(
-            labels if labels is not None else (f"z{i}" for i in range(ground_size))
-        )
-        if len(self.labels) != ground_size:
+        labels = tuple(labels if labels is not None else (f"z{i}" for i in range(ground_size)))
+        if len(labels) != ground_size:
             raise ValueError("one label per ground point required")
+        vars(self).update(a=float(a), b=float(b), ground_size=int(ground_size), labels=labels)
 
-    @property
-    def ground_size(self) -> int:
-        return self._ground_size
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; {name!r} cannot change")
+
+    __delattr__ = __setattr__
 
     def _check_param(self, t: float) -> float:
         if not self.a <= t <= self.b:
@@ -110,8 +108,7 @@ class RectilinearFamily(InterpolationFamily):
         super().__init__(dx.shape[0], 0.0, 1.0, labels)
         dx.setflags(write=False)
         dy.setflags(write=False)
-        self.dx = dx
-        self.dy = dy
+        vars(self).update(dx=dx, dy=dy)
 
     @classmethod
     def from_correspondence(
@@ -144,7 +141,7 @@ class CallableFamily(InterpolationFamily):
         labels: Sequence[str] | None = None,
     ):
         super().__init__(ground_size, a, b, labels)
-        self._fn = fn
+        vars(self).update(_fn=fn)
 
     def dist_at(self, t: float) -> np.ndarray:
         t = self._check_param(t)

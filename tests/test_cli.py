@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghgeo import (
+    IDENTITY_TOL,
     correspondence_from_json_dict,
     distortion,
     load_space,
@@ -228,7 +229,8 @@ class TestDeterminism:
 
 
 class TestNearlySymmetricSpaces:
-    """Spaces that validate_metric accepts, symmetric only within tol."""
+    """Spaces that validate_metric accepts, symmetric only within tol; every
+    command reads the normal form it stores."""
 
     @pytest.fixture
     def near_files(self, tmp_path):
@@ -241,11 +243,34 @@ class TestNearlySymmetricSpaces:
         return str(x), str(y)
 
     @pytest.mark.parametrize("options", [["dist"], ["geodesic", "--t", "0.5"], ["realize"]])
-    def test_json_and_exit_0_or_1(self, near_files, options):
+    def test_json_and_exit_0(self, near_files, options):
         x, y = near_files
         res = run([options[0], x, y, *options[1:]])
-        assert res.exit_code in (EXIT_OK, EXIT_VERIFICATION_FAILED)
-        json.loads(res.output)
+        assert res.exit_code == EXIT_OK
+        payload = json.loads(res.output)
+        if options[0] == "dist":
+            # the stored X is [[0, 2.0000000004], [2.0000000004, 0]]
+            assert payload["value"] == 0.5
+
+    @pytest.mark.parametrize("matrices", [
+        ([[0, 1.9999999996], [2.0000000004, 0]], [[0, 3.0000000004], [3.0000000004, 0]]),
+        ([[0, 1.0000000004, 2], [0.9999999996, 0, 1], [2, 1, 0]], [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+    ])
+    def test_realize_certifies(self, tmp_path, matrices):
+        # the product used to inherit the asymmetry: symmetry_error 8e-10,
+        # and 4e-10 restriction error on the second pair, exit 1
+        paths = []
+        for name, matrix in zip("XY", matrices):
+            path = tmp_path / f"{name}.json"
+            points = [f"p{i}" for i in range(len(matrix))]
+            path.write_text(json.dumps({"name": name, "points": points, "matrix": matrix}))
+            paths.append(str(path))
+        res = run(["realize", *paths])
+        assert res.exit_code == EXIT_OK
+        report = json.loads(res.output)["report"]
+        assert report["passed"] is True
+        assert report["symmetry_error"] == 0.0
+        assert report["restriction_max_error"] <= IDENTITY_TOL
 
     def test_dist_value_is_half_witness_distortion(self, near_files):
         x, y = near_files

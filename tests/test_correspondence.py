@@ -7,15 +7,18 @@ import random
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghgeo import (
+    AsymmetricMatrix,
     Correspondence,
     FiniteMetricSpace,
     HeuristicConfig,
     InvalidRelation,
+    NonzeroDiagonal,
     NotSurjective,
     Relation,
     SearchSpaceTooLarge,
@@ -224,15 +227,16 @@ class TestExactSolver:
     )
     def test_matches_branch_and_bound_oracle(self, shape, make, seed, jitter):
         # planar pairs rarely tie, graph pairs tie a lot; jittered entries are
-        # symmetric and zero on the diagonal only within validate_metric's tol
+        # symmetric and zero on the diagonal only within tol, and the solver
+        # reads the normal form validate_metric stores
         rng = random.Random(seed)
         dx, dy = (make(rng, size) for size in shape)
         if jitter:
             dx, dy = ([[v + rng.uniform(-4e-10, 4e-10) for v in row] for row in d] for d in (dx, dy))
-        x = FiniteMetricSpace(tuple(f"x{i}" for i in range(len(dx))), dx)
-        y = FiniteMetricSpace(tuple(f"y{j}" for j in range(len(dy))), dy)
+        # +-4e-10 on every entry can add up to 1.2e-9 to a triangle deficit
+        x, y = validate_metric(dx, tol=2e-9), validate_metric(dy, tol=2e-9)
         res = gh_distance_exact(x, y)
-        assert (res.value, res.witness.bitmask()) == bnb_gh(dx, dy)
+        assert (res.value, res.witness.bitmask()) == bnb_gh(x.dist.tolist(), y.dist.tolist())
         assert res.value == 0.5 * distortion(res.witness, x, y)
 
     def test_cap_enforced(self):
@@ -300,9 +304,9 @@ class TestHeuristic:
         assert res.value == 0.5 * distortion(res.witness, x, y)
 
     def test_value_is_half_witness_distortion_when_symmetric_within_tol(self):
-        # validate_metric accepts asymmetry and diagonals up to tol; both
-        # solvers read both orientations and the own terms, as distortion()
-        # does, and the exact one matches the oracle's canonical witness
+        # validate_metric accepts asymmetry and diagonals up to tol and stores
+        # the normal form; both solvers read it as distortion() does, and the
+        # exact one matches the oracle's canonical witness
         pairs = [
             ([[0, 1 + 5e-10, 2], [1, 0, 1.5], [2, 1.5, 0]], [[0, 1], [1, 0]]),
             ([[0, 1.9999999996], [2.0000000004, 0]], [[0, 3.0000000004], [3.0000000004, 0]]),
@@ -318,7 +322,7 @@ class TestHeuristic:
                 assert res.value == 0.5 * distortion(res.witness, a, b)
                 value, mask = naive_gh(a.dist.tolist(), b.dist.tolist())
                 assert (res.value, res.witness.bitmask()) == (value, mask)
-        assert gh_distance_exact(validate_metric([[3e-10]]), validate_metric([[0.0]])).value == 1.5e-10
+        assert gh_distance_exact(validate_metric([[3e-10]]), validate_metric([[0.0]])).value == 0.0
         # the slice check accepts the exact solver's own witness
         x, y = (validate_metric(mx) for mx in pairs[2])
         check = slice_gh_check(gh_distance_exact(x, y).witness, x, y, 0.25, 0.75)
@@ -330,6 +334,16 @@ class TestHeuristic:
         entry = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 4.0))
         dx = data.draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
         dy = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        # a space holds only the normal form: symmetric by max, zero diagonal
+        normal = []
+        for d in (dx, dy):
+            a = np.maximum(np.array(d), np.array(d).T)
+            np.fill_diagonal(a, 0.0)
+            if not np.array_equal(a, d):
+                with pytest.raises((AsymmetricMatrix, NonzeroDiagonal)):
+                    FiniteMetricSpace(tuple(f"p{i}" for i in range(len(d))), d)
+            normal.append(a.tolist())
+        dx, dy = normal
         x = FiniteMetricSpace(tuple(f"x{i}" for i in range(m)), dx)
         y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), dy)
         res = gh_distance_heuristic(x, y, HeuristicConfig(iterations=50, restarts=2))

@@ -2,7 +2,9 @@
 
 import math
 import random
+import tempfile
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,15 +15,21 @@ from hypothesis import strategies as st
 from ghgeo import (
     AsymmetricMatrix,
     EmptySubset,
+    FiniteMetricSpace,
     MixedOwners,
     NegativeEntry,
+    NonFiniteEntry,
     NonSquareMatrix,
     NonzeroDiagonal,
     TriangleViolation,
     ZeroOffDiagonal,
+    dump_space,
+    gh_distance_exact,
     hausdorff_distance,
+    load_space,
     max_triangle_deficit,
     point_set_distance,
+    realize_geodesic,
     set_set_distance,
     space_from_text,
     validate_metric,
@@ -29,7 +37,7 @@ from ghgeo import (
 from ghgeo import metric_core
 from ghgeo.metric_core import BLOCK_ELEMENTS
 
-from instances import line_space, planar_matrix, planar_space
+from instances import graph_matrix, line_space, planar_matrix, planar_space, two_point_space
 from oracles import (
     naive_hausdorff,
     naive_point_set_distance,
@@ -130,6 +138,78 @@ class TestValidateMetric:
         space = validate_metric([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             space.dist[0, 1] = 5.0
+
+
+# each entry of a within-tol matrix moves by at most this; three of them move
+# a triangle deficit by at most 9e-10, below the default tol
+JITTER = 3e-10
+
+
+@st.composite
+def within_tol_matrices(draw):
+    """A planar or graph matrix, optionally with point 0 duplicated (a zero
+    off-diagonal entry), every entry moved by at most JITTER: asymmetric,
+    nonzero on the diagonal and negative where zero, each within tol."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([planar_matrix, graph_matrix]))(rng, draw(st.integers(1, 7)))
+    if draw(st.booleans()):
+        d = [row + [row[0]] for row in d]
+        d.append(list(d[0]))
+    jitter = st.floats(-JITTER, JITTER)
+    return [[v + draw(jitter) for v in row] for row in d]
+
+
+def points(d) -> tuple[str, ...]:
+    return tuple(f"p{i}" for i in range(len(d)))
+
+
+class TestNormalForm:
+    @settings(max_examples=150, deadline=None)
+    @given(matrix=within_tol_matrices())
+    def test_stored_matrix_is_the_normal_form(self, matrix):
+        d = validate_metric(matrix).dist
+        assert np.array_equal(d, d.T)
+        assert (d >= 0.0).all()
+        assert (np.diag(d) == 0.0).all()
+        given_deficit, _ = max_triangle_deficit(np.array(matrix))
+        assert max_triangle_deficit(d)[0] <= max(given_deficit, 0.0)
+        assert validate_metric(d).dist.tobytes() == d.tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.json"
+            dump_space(validate_metric(matrix), path)
+            assert load_space(path).dist.tobytes() == d.tobytes()
+
+    def test_normal_input_is_stored_bit_for_bit(self):
+        # np.maximum(-0.0, 0.0) returns 0.0, which would flip signed zeros
+        d = np.array([[-0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [-0.0, 1.0, -0.0]])
+        assert validate_metric(d).dist.tobytes() == d.tobytes()
+
+    def test_metric_kind_is_read_from_the_stored_matrix(self):
+        # d[0][1] is zero but its mirror is 5e-10: the stored distance is 5e-10
+        space = validate_metric([[0, 0], [5e-10, 0]], kind="metric")
+        assert space.kind == "metric"
+        assert space.distance(0, 1) == space.distance(1, 0) == 5e-10
+
+    def test_zero_distance_message_reads_the_input(self):
+        with pytest.raises(ZeroOffDiagonal, match="-1e-10"):
+            validate_metric([[0, -1e-10], [-1e-10, 0]], kind="metric")
+
+    @pytest.mark.parametrize("matrix, error", [
+        ([[0.0, 1.0], [np.nextafter(1.0, 2.0), 0.0]], AsymmetricMatrix),
+        ([[0.0, -1e-300], [-1e-300, 0.0]], NegativeEntry),
+        ([[0.0, 1.0], [1.0, 5e-324]], NonzeroDiagonal),
+        ([[0.0, math.nan], [math.nan, 0.0]], NonFiniteEntry),
+    ], ids=["one-ulp-asymmetry", "negative", "nonzero-diagonal", "nan"])
+    def test_construction_rejects(self, matrix, error):
+        with pytest.raises(error):
+            FiniteMetricSpace(points(matrix), matrix)
+
+    def test_construction_accepts_signed_zero_diagonal_and_products(self):
+        d = [[-0.0, 1.0], [1.0, -0.0]]
+        assert FiniteMetricSpace(points(d), d).dist.tobytes() == np.array(d).tobytes()
+        x, y = two_point_space(2.0), two_point_space(1.0)
+        prod, _ = realize_geodesic(x, y, gh_distance_exact(x, y).witness)
+        assert np.array_equal(FiniteMetricSpace(points(prod.dist), prod.dist).dist, prod.dist)
 
 
 class TestPointAndSetDistances:

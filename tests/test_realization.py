@@ -409,6 +409,28 @@ class TestRealizeGeodesic:
         assert report.passed
 
 
+class TestFamilies:
+    @pytest.mark.parametrize("name", ["dx", "dy", "a", "b", "labels", "ground_size"])
+    def test_rectilinear_attributes_cannot_change(self, name):
+        # rebinding dx after a passing realization used to turn the next
+        # report into restriction_max_error 1.0, passed: false
+        x, y = two_point_space(2.0), two_point_space(1.0)
+        prod, report = realize_geodesic(x, y, gh_distance_exact(x, y).witness)
+        assert report.passed
+        with pytest.raises(AttributeError):
+            setattr(prod.family, name, np.array([[0, 3.0], [3.0, 0]]))
+        with pytest.raises(AttributeError):
+            delattr(prod.family, name)
+        assert verify_product(prod).to_json_dict() == report.to_json_dict()
+
+    def test_callable_attributes_cannot_change(self):
+        family = sin_family()
+        for name in ("a", "b", "_fn", "new"):
+            with pytest.raises(AttributeError):
+                setattr(family, name, 0.5)
+        assert (family.a, family.b) == (0.0, 1.0)
+
+
 class TestLinearHausdorffIdentity:
     def test_hausdorff_between_slices_scales_with_gh(self):
         # read the identity through metric_core's own Hausdorff distance
