@@ -375,6 +375,16 @@ class TestHeuristic:
             assert res.value == inst["value"], inst["seed"]
             assert res.witness.to_json_dict()["pairs"] == inst["witness"], inst["seed"]
 
+    def test_scale_golden_reproduced(self):
+        # the benchmark's shapes, where descents make dozens of swaps; the
+        # stored values are checked, the generator is not rerun
+        data = json.loads((DATA_DIR / "heuristic_scale_golden.json").read_text())
+        for inst in data["instances"]:
+            x, y = validate_metric(inst["X"]), validate_metric(inst["Y"])
+            res = gh_distance_heuristic(x, y, HeuristicConfig(**inst["config"]))
+            assert res.value == inst["value"], inst["seed"]
+            assert res.witness.to_json_dict()["pairs"] == inst["witness"], inst["seed"]
+
     @settings(max_examples=150, deadline=None)
     @given(
         data=st.data(),
