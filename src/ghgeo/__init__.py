@@ -11,6 +11,7 @@ from .errors import (
     AsymmetricMatrix,
     ConditionFailed,
     DegenerateGeodesic,
+    EmptyMatrix,
     EmptySubset,
     GHGeoError,
     InvalidRelation,

@@ -181,17 +181,18 @@ def _require_within_cap(m: int, n: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _deltas(x: FiniteMetricSpace, y: FiniteMetricSpace, members: np.ndarray) -> np.ndarray:
-    """D[q, b] = | dX[i][i'] - dY[j][j'] | for slot q = i*n+j and member
-    b = i'*n+j'.
+    """T[b, q] = | dX[i][i'] - dY[j][j'] | for member b = i*n+j and slot
+    q = i'*n+j', one row per member.
 
-    Both matrices are in normal form, so D[q, b] == D[b, q] and D[b, b] == 0:
-    the maximum of D over members x members is distortion()'s own maximum,
-    and every search optimizes exactly the value it reports.
+    Both matrices are in normal form, so with every slot a member T is
+    exactly symmetric with a zero diagonal: the maximum of T[:, members] is
+    distortion()'s own maximum, and every search optimizes exactly the value
+    it reports.
     """
     ui, uj = np.divmod(members, len(y))
-    d = x.dist[:, ui][:, None, :] - y.dist[:, uj][None, :, :]
+    d = x.dist[ui][:, :, None] - y.dist[uj][:, None, :]
     np.abs(d, out=d)
-    return d.reshape(-1, len(members))
+    return d.reshape(len(members), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +203,23 @@ def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace) -> list[int]:
     """Deterministic starting correspondence: zip points sorted by eccentricity,
     then attach leftover points of the larger side greedily."""
     m, n = len(x), len(y)
-    order_x = sorted(range(m), key=lambda i: (-float(x.dist[i].max()), i))
-    order_y = sorted(range(n), key=lambda j: (-float(y.dist[j].max()), j))
+    ecc_x, ecc_y = (-x.dist.max(axis=1)).tolist(), (-y.dist.max(axis=1)).tolist()
+    order_x = sorted(range(m), key=ecc_x.__getitem__)
+    order_y = sorted(range(n), key=ecc_y.__getitem__)
     k = min(m, n)
     codes = [order_x[a] * n + order_y[a] for a in range(k)]
     # each leftover point takes the slot whose largest delta against the
     # slots chosen so far is smallest, the first one on ties
     if m > n:
-        steps = [[order_x[a] * n + j for j in range(n)] for a in range(n, m)]
+        steps = [order_x[a] * n + np.arange(n) for a in range(n, m)]
     else:
-        steps = [[i * n + order_y[a] for i in range(m)] for a in range(m, n)]
+        steps = [np.arange(m) * n + order_y[a] for a in range(m, n)]
+    if steps:
+        worst = _deltas(x, y, np.array(codes)).max(axis=0)
     for candidates in steps:
-        d = _deltas(x, y, np.array(candidates))
-        codes.append(candidates[int(np.argmin(d[codes].max(axis=0)))])
+        code = int(candidates[np.argmin(worst[candidates])])
+        codes.append(code)
+        np.maximum(worst, _deltas(x, y, np.array([code]))[0], out=worst)
     return codes
 
 
@@ -347,71 +352,70 @@ class HeuristicConfig:
             raise ValueError("restarts must be >= 1")
 
 
-def _top2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row maximum, the column holding it, and the maximum of the other
-    columns (-inf for one column).  ``a`` is restored before returning."""
-    rows = np.arange(a.shape[0])
-    at = a.argmax(axis=1)
-    top = a[rows, at]
-    a[rows, at] = -np.inf
-    second = a.max(axis=1)
-    a[rows, at] = top
-    return top, at, second
-
-
 def _first_move(
-    d: np.ndarray, cur: float, members: np.ndarray, m: int, n: int
-) -> np.ndarray | None:
-    """The members after the first improving move, or None at a local minimum.
+    t: np.ndarray, cur: float, members: np.ndarray, m: int, n: int
+) -> tuple[int, int | None] | None:
+    """The first improving move as (row of the member to drop, slot to put
+    in its place or None), or None at a local minimum.
 
     Moves are scanned in a fixed order: remove a member (surjectivity
     permitting), then swap a member for an absent slot; members and slots
-    ascending, strict improvement only.  Adding a slot is never a move, since
-    distortion is monotone under inclusion.
+    ascending by code, strict improvement only.  Adding a slot is never a
+    move, since distortion is monotone under inclusion.
     """
+    if cur <= 0.0:
+        return None
     rows, cols = np.divmod(members, n)
     row_short = np.bincount(rows, minlength=m)[rows] < 2
     col_short = np.bincount(cols, minlength=n)[cols] < 2
-    # dis(R - {p}) for every member p, from the top two of each row of the
-    # member block: row a without column p keeps its top unless p holds it
-    top, top_at, second = _top2(d[members])
-    own = np.arange(len(members))
-    rest = np.where(top_at[:, None] == own, second[:, None], top[:, None])
-    rest[own, own] = -np.inf
-    base = rest.max(axis=0)
-    hit = np.flatnonzero(~row_short & ~col_short & (base < cur))
-    if hit.size:
-        return np.delete(members, hit[0])
-    # max over u in R - {p} of delta[q][u] for every slot q, the same way
-    top, top_at, second = _top2(d)
-    open_slots = np.ones(m * n, dtype=bool)
-    open_slots[members] = False
-    slot_rows, slot_cols = np.divmod(np.arange(m * n), n)
-    for b in np.flatnonzero(base < cur):
-        ok = open_slots & (np.where(top_at == b, second, top) < cur)
+    # dis(R - {p}) < cur exactly when every member pair at or above cur
+    # involves p; T is symmetric with a zero diagonal, so p's pairs are twice
+    # its column count
+    over = t >= cur
+    count = over.sum(axis=0, dtype=np.int32)
+    at_members = count[members]
+    drops = np.flatnonzero(2 * at_members == at_members.sum()).tolist()
+    drops.sort(key=members.item)
+    for b in drops:
+        if not row_short[b] and not col_short[b]:
+            return b, None
+    # swapping b for an absent slot q also needs T[u, q] < cur for every
+    # member u but b; members get a count of 2, which neither mask takes
+    count[members] = 2
+    free, single = count == 0, count == 1
+    for b in drops:
+        ok = (free | single & over[b]).reshape(m, n)
         if row_short[b]:
-            ok &= slot_rows == rows[b]
+            ok[: rows[b]] = ok[rows[b] + 1 :] = False
         if col_short[b]:
-            ok &= slot_cols == cols[b]
+            ok[:, : cols[b]] = ok[:, cols[b] + 1 :] = False
         hit = np.flatnonzero(ok)
         if hit.size:
-            return np.sort(np.append(np.delete(members, b), hit[0]))
+            return b, int(hit[0])
     return None
 
 
 def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) -> tuple[float, set[int]]:
     """First-improvement hill climbing on distortion, at most ``max_steps``
-    moves.  Each step scores every move from one (mn) x |R| array."""
+    moves.  Each step scores every move from one |R| x (mn) array, built once
+    and updated in place: a removal moves the last row into the removed
+    one's place, a swap overwrites one row."""
     m, n = len(x), len(y)
     members = np.array(sorted(codes))
+    t = _deltas(x, y, members)
     steps = 0
     while True:
-        d = _deltas(x, y, members)
-        cur = float(d[members].max())
-        moved = _first_move(d, cur, members, m, n) if steps < max_steps else None
-        if moved is None:
+        cur = float(t[:, members].max())
+        move = _first_move(t, cur, members, m, n) if steps < max_steps else None
+        if move is None:
             return cur, set(members.tolist())
-        members = moved
+        b, q = move
+        if q is None:
+            members[b], t[b] = members[-1], t[-1]
+            members, t = members[:-1], t[:-1]
+        else:
+            members[b] = q
+            t[b] = _deltas(x, y, members[b : b + 1])[0]
         steps += 1
 
 

@@ -23,6 +23,10 @@ class NonSquareMatrix(MetricValidationError):
     pass
 
 
+class EmptyMatrix(MetricValidationError):
+    """A 0 x 0 distance matrix: a space needs at least one point."""
+
+
 class NonFiniteEntry(MetricValidationError):
     pass
 

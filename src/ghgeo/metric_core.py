@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricMatrix,
+    EmptyMatrix,
     EmptySubset,
     MixedOwners,
     NegativeEntry,
@@ -47,10 +48,12 @@ def _frozen_matrix(matrix) -> np.ndarray:
 
 
 def _check_form(d: np.ndarray, tol: float) -> bool:
-    """Raise unless the square matrix ``d`` is finite, and symmetric,
+    """Raise unless the square matrix ``d`` is nonempty, finite, and symmetric,
     nonnegative and zero on the diagonal within ``tol``, naming the worst
     entry.  Returns whether ``d`` is exactly in that form, the normal form
     every space holds."""
+    if d.size == 0:
+        raise EmptyMatrix("distance matrix is empty (0 x 0)")
     # min and max propagate a NaN, so both are finite exactly when every entry is
     low, high = float(d.min()), float(d.max())
     if not (math.isfinite(low) and math.isfinite(high)):

@@ -47,10 +47,12 @@ DATA_DIR = Path(__file__).parent / "data"
 ORACLE_SHAPES = [(m, n) for m in range(1, 26) for n in range(1, 26) if 13 <= m * n <= 25]
 
 
+SMALL_INTEGERS = st.integers(0, 3).map(float)
+
+
 @st.composite
-def symmetric_zero_diagonal(draw, size: int):
+def symmetric_zero_diagonal(draw, size: int, entry=st.one_of(SMALL_INTEGERS, st.floats(0.0, 4.0))):
     """An exactly symmetric matrix with zero diagonal; small integers give ties."""
-    entry = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 4.0))
     d = [[0.0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
@@ -354,7 +356,7 @@ class TestHeuristic:
             value, mask = naive_gh(dx, dy)
             assert (res.value, res.witness.bitmask()) == (value, mask)
 
-    @pytest.mark.parametrize("size, limit_mib", [(40, 8), (100, 64)])
+    @pytest.mark.parametrize("size, limit_mib", [(40, 8), (60, 8), (100, 64)])
     def test_peak_memory(self, size, limit_mib):
         # the (mn)^2 delta table alone took 97.7 MiB at 40 x 40
         x, y = planar_space(1, size), planar_space(2, size)
@@ -401,5 +403,27 @@ class TestHeuristic:
         y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), dy)
         res = gh_distance_heuristic(x, y, HeuristicConfig(iterations, seed, restarts))
         value, pairs = naive_gh_heuristic(dx, dy, iterations, seed, restarts)
+        assert res.value == value
+        assert res.witness.sorted_pairs() == pairs
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        small=st.integers(1, 3),
+        large=st.integers(4, 12),
+        transpose=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_table_oracle_on_skewed_ties(self, data, small, large, transpose, seed):
+        # on one to three rows (or columns) most members are alone in their
+        # column (or row), so swaps are confined to one line, and integer
+        # entries put many deltas exactly at the current distortion
+        m, n = (large, small) if transpose else (small, large)
+        dx = data.draw(symmetric_zero_diagonal(m, SMALL_INTEGERS))
+        dy = data.draw(symmetric_zero_diagonal(n, SMALL_INTEGERS))
+        x = FiniteMetricSpace(tuple(f"x{i}" for i in range(m)), dx)
+        y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), dy)
+        res = gh_distance_heuristic(x, y, HeuristicConfig(seed=seed, restarts=3))
+        value, pairs = naive_gh_heuristic(dx, dy, seed=seed, restarts=3)
         assert res.value == value
         assert res.witness.sorted_pairs() == pairs

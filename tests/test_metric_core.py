@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ghgeo import (
     AsymmetricMatrix,
+    EmptyMatrix,
     EmptySubset,
     FiniteMetricSpace,
     MixedOwners,
@@ -105,6 +106,13 @@ class TestValidateMetric:
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareMatrix):
             validate_metric([[0, 1, 2], [1, 0, 1]])
+
+    def test_empty_matrix_rejected(self):
+        # not numpy's zero-size reduction error
+        with pytest.raises(EmptyMatrix, match="empty"):
+            validate_metric(np.zeros((0, 0)))
+        with pytest.raises(EmptyMatrix, match="empty"):
+            FiniteMetricSpace((), np.zeros((0, 0)))
 
     def test_zero_off_diagonal_only_when_metric_demanded(self):
         matrix = [[0, 0], [0, 0]]
