@@ -74,10 +74,6 @@ from .realization import (
     RectilinearFamily,
     VerificationReport,
     build_product,
-    check_lipschitz_condition,
-    check_lipschitz_exact,
-    check_monotone_condition,
-    check_monotone_exact,
     load_product,
     product_distance,
     product_from_json_dict,

@@ -27,7 +27,7 @@ from .errors import (
     SearchSpaceTooLarge,
     SizeMismatch,
 )
-from .metric_core import FiniteMetricSpace, _json_convert, _json_fields, _parse_json
+from .metric_core import FiniteMetricSpace, _json_convert, _json_fields, _json_int, _parse_json
 
 # Hard cap on the exact covering search: 25 pair slots, so 25-bit masks.
 MAX_EXACT_BITS = 25
@@ -104,9 +104,9 @@ def correspondence_from_json_dict(data: dict) -> Correspondence:
     what = "correspondence JSON"
     m, n, pairs = _json_fields(data, what, ("m", "n", "pairs"))
     return Correspondence(
-        _json_convert(int, m, what, "m"),
-        _json_convert(int, n, what, "n"),
-        _json_convert(lambda v: frozenset((int(i), int(j)) for i, j in v), pairs, what, "pairs"),
+        _json_convert(_json_int, m, what, "m"),
+        _json_convert(_json_int, n, what, "n"),
+        _json_convert(lambda v: {(_json_int(i), _json_int(j)) for i, j in v}, pairs, what, "pairs"),
     )
 
 

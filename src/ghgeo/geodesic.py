@@ -25,7 +25,7 @@ from .correspondence import (
     gh_distance_exact,
 )
 from .errors import NotOptimalCorrespondence, ParameterOutOfRange
-from .metric_core import FiniteMetricSpace, _strictest_kind
+from .metric_core import FiniteMetricSpace
 
 # half-distortion must match the exact GH value this closely for the
 # correspondence to count as optimal
@@ -53,10 +53,7 @@ def geodesic_slice(
         raise ParameterOutOfRange(f"t = {t!r} outside [0, 1]")
     t = float(t)
     dx, dy, labels = pullback_matrices(R, x, y)
-    m = (1.0 - t) * dx + t * dy
-    return FiniteMetricSpace(
-        labels=labels, dist=m, kind=_strictest_kind(m), name=f"geodesic(t={t})"
-    )
+    return FiniteMetricSpace(labels=labels, dist=(1.0 - t) * dx + t * dy, name=f"geodesic(t={t})")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
@@ -78,16 +79,16 @@ def _check_form(d: np.ndarray, tol: float) -> bool:
 class FiniteMetricSpace:
     """A finite set of labelled points with a (pseudo)metric distance matrix.
 
-    ``kind`` records whether all off-diagonal distances are strictly positive
-    ("metric") or zero distances between distinct points are allowed
-    ("pseudometric").  The matrix is finite and in normal form: exactly
+    ``kind`` is derived from the matrix: "metric" when all off-diagonal
+    distances are strictly positive, "pseudometric" when distinct points may
+    be at distance zero.  The matrix is finite and in normal form: exactly
     symmetric, nonnegative and zero on the diagonal.  Instances are
     immutable; the matrix is read-only.
     """
 
     labels: tuple[str, ...]
     dist: np.ndarray
-    kind: Kind = "metric"
+    kind: Kind = field(init=False)
     name: str = ""
 
     def __post_init__(self):
@@ -99,10 +100,11 @@ class FiniteMetricSpace:
             raise ValueError(
                 f"{len(self.labels)} labels for a {arr.shape[0]}-point matrix"
             )
-        if self.kind not in ("metric", "pseudometric"):
-            raise ValueError(f"unknown kind {self.kind!r}")
         _check_form(arr, 0.0)
         object.__setattr__(self, "dist", arr)
+        n = arr.shape[0]
+        strict = np.count_nonzero(arr > 0.0) == n * (n - 1)  # the diagonal is 0
+        object.__setattr__(self, "kind", "metric" if strict else "pseudometric")
 
     def __len__(self) -> int:
         return self.dist.shape[0]
@@ -240,12 +242,6 @@ def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
     return worst, witness
 
 
-def _strictest_kind(d: np.ndarray) -> Kind:
-    """"metric" when every off-diagonal entry is positive (the diagonal is 0)."""
-    n = d.shape[0]
-    return "metric" if np.count_nonzero(d > 0.0) == n * (n - 1) else "pseudometric"
-
-
 def _check_tol(tol: float) -> None:
     """Every axiom check reads ``value > tol``, which a NaN tol never fails."""
     if not (math.isfinite(tol) and tol >= 0):
@@ -285,22 +281,16 @@ def validate_metric(
         np.maximum(normal, 0.0, out=normal)
         np.fill_diagonal(normal, 0.0)
 
-    strictest = _strictest_kind(normal)
-    if kind == "metric" and strictest != "metric":
+    if labels is None:
+        labels = [f"p{i}" for i in range(n)]
+    space = FiniteMetricSpace(labels=tuple(labels), dist=normal, name=name)
+    if kind == "metric" and space.kind != "metric":
         mask = (normal <= 0.0) & ~np.eye(n, dtype=bool)
         i, j = np.argwhere(mask)[0]
         raise ZeroOffDiagonal(
             f"distinct points {i} and {j} at distance {d[i, j]!r}"
         )
-
-    if labels is None:
-        labels = [f"p{i}" for i in range(n)]
-    return FiniteMetricSpace(
-        labels=tuple(labels),
-        dist=normal,
-        kind=strictest,
-        name=name,
-    )
+    return space
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +350,13 @@ def _json_convert(convert, value, what: str, key: str):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} field {key!r} is invalid: {exc}") from None
+
+
+def _json_int(value) -> int:
+    """A JSON integer as int; int() would truncate 1.9 and read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_json(text: str):

@@ -48,6 +48,7 @@ from .metric_core import (
     _float_array,
     _json_convert,
     _json_fields,
+    _json_int,
     _parse_json,
     max_triangle_deficit,
     validate_metric,
@@ -157,7 +158,7 @@ class CallableFamily(InterpolationFamily):
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Strictly increasing parameter values spanning [values[0], values[-1]]."""
+    """Finite, strictly increasing parameter values spanning [values[0], values[-1]]."""
 
     values: tuple[float, ...]
 
@@ -165,8 +166,9 @@ class ParamGrid:
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 2:
             raise ValueError("a grid needs at least two values")
-        if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
-            raise ValueError("grid values must be strictly increasing")
+        # a NaN fails every comparison, so each value is tested for finiteness
+        if not (all(map(math.isfinite, vals)) and all(s < t for s, t in zip(vals, vals[1:]))):
+            raise ValueError("grid values must be finite and strictly increasing")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -248,24 +250,46 @@ class ConditionCheck:
         }
 
 
-def check_monotone_condition(
-    family: InterpolationFamily, grid: ParamGrid, tol: float = DEFAULT_TOL
-) -> ConditionCheck:
-    """Grid check: every pairwise distance is monotone in t within tol.
+def run_condition_checks(
+    family: InterpolationFamily, c: float, grid: ParamGrid, tol: float = DEFAULT_TOL
+) -> tuple[ConditionCheck, ConditionCheck]:
+    """Check monotonicity and the 2c-Lipschitz bound in one pass over grid pairs.
 
-    For each pair the violation is min(worst drop, worst rise) over grid
-    parameter pairs: the smaller residual of the two monotone readings.
+    For each pair the monotone violation is min(worst drop, worst rise) over
+    grid parameter pairs: the smaller residual of the two monotone readings.
+    The Lipschitz deficit is | |zz'|_t - |zz'|_s | - 2c|t - s|.  Every
+    pairwise distance of an affine family is affine in t, so the same pass on
+    the segment's endpoints (a, b) decides both conditions exactly; it runs
+    at tol = 0 and is labelled "closed_form".  A NaN stays NaN.
     """
-    ts = grid.values
+    _check_c(c)
+    if isinstance(family, RectilinearFamily):
+        ts, tol, method = (family.a, family.b), 0.0, "closed_form"
+    else:
+        ts, method = grid.values, "grid"
+    tv = np.array(ts)
     k = len(ts)
     f = np.stack([family.dist_at(t) for t in ts])
-    z = family.ground_size
-    drop = np.zeros((z, z))
-    rise = np.zeros((z, z))
+    drop = np.zeros(f.shape[1:])
+    rise = np.zeros(f.shape[1:])
+    raw = -math.inf
+    slopes = []
+    at = None
     for a in range(k - 1):
         diff = f[a] - f[a + 1 :]  # against every later grid value at once
         np.maximum(drop, diff.max(axis=0), out=drop)
         np.maximum(rise, -diff.min(axis=0), out=rise)
+        dt = tv[a + 1 :] - tv[a]
+        g = np.abs(diff)
+        slopes.append((g.max(axis=(1, 2)) / dt).max())
+        deficit = g - (2.0 * c * dt)[:, None, None]
+        flat = int(np.argmax(deficit))  # first in (b, z1, z2) order
+        m = float(deficit.flat[flat])
+        if m > raw or math.isnan(m):  # once NaN, raw stays NaN
+            raw = m
+            b, z1, z2 = np.unravel_index(flat, deficit.shape)
+            at = (int(z1), int(z2), a, a + 1 + int(b))
+
     viol = np.minimum(drop, rise)
     worst = float(viol.max())
     if worst <= 0.0:  # a NaN stays NaN
@@ -281,88 +305,19 @@ def check_monotone_condition(
         v[np.tril_indices(k)] = -math.inf
         a, b = np.unravel_index(int(np.argmax(v)), v.shape)
         witness = ConditionWitness(z1, z2, ts[a], ts[b])
-    return ConditionCheck("monotone", "grid", worst <= tol, worst, witness, tol)
+    mono = ConditionCheck("monotone", method, worst <= tol, worst, witness, tol)
 
-
-def check_lipschitz_condition(
-    family: InterpolationFamily, c: float, grid: ParamGrid, tol: float = DEFAULT_TOL
-) -> ConditionCheck:
-    """Grid check of | |zz'|_t - |zz'|_s | <= 2c|t-s| + tol over grid pairs."""
-    _check_c(c)
-    ts = grid.values
-    tv = np.array(ts)
-    k = len(ts)
-    f = np.stack([family.dist_at(t) for t in ts])
-    raw = -math.inf
-    slopes = []
-    at = None
-    for a in range(k - 1):
-        dt = tv[a + 1 :] - tv[a]  # against every later grid value at once
-        g = np.abs(f[a] - f[a + 1 :])
-        slopes.append((g.max(axis=(1, 2)) / dt).max())
-        deficit = g - (2.0 * c * dt)[:, None, None]
-        flat = int(np.argmax(deficit))  # first in (b, z1, z2) order
-        m = float(deficit.flat[flat])
-        if math.isnan(m):
-            raw = m
-            break
-        if m > raw:
-            raw = m
-            b, z1, z2 = np.unravel_index(flat, deficit.shape)
-            at = (int(z1), int(z2), a, a + 1 + int(b))
-    slope_max = float(np.max(slopes))
     witness = None
-    if raw > 0.0 and at is not None:
+    if raw > 0.0:
         z1, z2, a, b = at
-        if f[a, z1, z2] >= f[b, z1, z2]:
-            t, s = ts[a], ts[b]
-        else:
-            t, s = ts[b], ts[a]
-        witness = ConditionWitness(z1, z2, t, s)
+        if f[a, z1, z2] < f[b, z1, z2]:
+            a, b = b, a
+        witness = ConditionWitness(z1, z2, ts[a], ts[b])
     worst = 0.0 if raw <= 0.0 else raw  # a NaN stays NaN
-    return ConditionCheck("lipschitz", "grid", raw <= tol, worst, witness, tol, slope_max)
-
-
-def check_monotone_exact(family: RectilinearFamily) -> ConditionCheck:
-    """Closed form for affine families: always monotone."""
-    return ConditionCheck("monotone", "closed_form", True, 0.0, None, 0.0)
-
-
-def check_lipschitz_exact(family: RectilinearFamily, c: float) -> ConditionCheck:
-    """Closed form for affine families: max|dy - dx| <= 2c, exactly.
-
-    The reported violation is the worst total deficit over the segment,
-    (max|slope| - 2c) * (b - a), which a grid containing both endpoints
-    measures identically.
-    """
-    _check_c(c)
-    slopes = family.slopes
-    a = np.abs(slopes)
-    smax = float(a.max())
-    ok = smax <= 2.0 * c
-    worst = max(0.0, (smax - 2.0 * c) * (family.b - family.a))
-    witness = None
-    if not ok:
-        z1, z2 = np.unravel_index(int(np.argmax(a)), a.shape)
-        z1, z2 = int(z1), int(z2)
-        if slopes[z1, z2] > 0:
-            t, s = family.b, family.a
-        else:
-            t, s = family.a, family.b
-        witness = ConditionWitness(z1, z2, t, s)
-    return ConditionCheck("lipschitz", "closed_form", ok, worst, witness, 0.0, smax)
-
-
-def run_condition_checks(
-    family: InterpolationFamily, c: float, grid: ParamGrid, tol: float = DEFAULT_TOL
-) -> tuple[ConditionCheck, ConditionCheck]:
-    """Both sufficient conditions, closed-form when the family is affine."""
-    if isinstance(family, RectilinearFamily):
-        return check_monotone_exact(family), check_lipschitz_exact(family, c)
-    return (
-        check_monotone_condition(family, grid, tol),
-        check_lipschitz_condition(family, c, grid, tol),
+    lips = ConditionCheck(
+        "lipschitz", method, raw <= tol, worst, witness, tol, float(np.max(slopes))
     )
+    return mono, lips
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +628,7 @@ def product_from_json_dict(data: dict) -> ProductSpace:
     for file_idx, p in enumerate(pts):
         where_p = f"product JSON point {file_idx}"
         zi, t, label = _json_fields(p, where_p, ("z", "t", "label"))
-        zi = _json_convert(int, zi, where_p, "z")
+        zi = _json_convert(_json_int, zi, where_p, "z")
         t = _json_convert(float, t, where_p, "t")
         label = str(label)
         if not 0 <= zi < z:

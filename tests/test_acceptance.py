@@ -26,16 +26,14 @@ import numpy as np
 import pytest
 
 from ghgeo import (
+    CallableFamily,
     ParamGrid,
-    check_lipschitz_condition,
-    check_lipschitz_exact,
-    check_monotone_condition,
-    check_monotone_exact,
     gh_distance_exact,
     gh_distance_heuristic,
     HeuristicConfig,
     RectilinearFamily,
     realize_geodesic,
+    run_condition_checks,
     validate_metric,
 )
 from ghgeo.cli import EXIT_INPUT_ERROR, EXIT_OK, run
@@ -158,21 +156,25 @@ def test_criterion_6_condition_checkers(certified_products):
             good_c = 0.5 * dis
             bad_c = 0.25 * dis
 
-            assert check_monotone_exact(fam).ok
-            assert check_lipschitz_exact(fam, good_c).ok
+            mono, good = run_condition_checks(fam, good_c, grid)
+            assert mono.method == good.method == "closed_form"
+            assert mono.ok
+            assert good.ok
 
-            bad = check_lipschitz_exact(fam, bad_c)
+            _, bad = run_condition_checks(fam, bad_c, grid)
             assert not bad.ok
             assert bad.witness is not None
             # the witness pair attains the distortion
             assert abs(fam.slopes[bad.witness.z1, bad.witness.z2]) == dis
             assert bad.worst == pytest.approx(0.5 * dis, abs=1e-12)
 
-            g_mono = check_monotone_condition(fam, grid, tol=1e-9)
-            g_good = check_lipschitz_condition(fam, good_c, grid, tol=1e-9)
-            g_bad = check_lipschitz_condition(fam, bad_c, grid, tol=1e-9)
-            assert g_mono.ok == check_monotone_exact(fam).ok
-            assert g_good.ok == check_lipschitz_exact(fam, good_c).ok
+            # the same affine family, checked on the grid
+            g_fam = CallableFamily(fam.ground_size, fam.a, fam.b, fam.dist_at, fam.labels)
+            g_mono, g_good = run_condition_checks(g_fam, good_c, grid, tol=1e-9)
+            _, g_bad = run_condition_checks(g_fam, bad_c, grid, tol=1e-9)
+            assert g_mono.method == g_good.method == g_bad.method == "grid"
+            assert g_mono.ok == mono.ok
+            assert g_good.ok == good.ok
             assert g_bad.ok == bad.ok
             assert g_bad.worst == pytest.approx(bad.worst, abs=1e-9)
             assert g_bad.max_slope == pytest.approx(dis, abs=1e-9)

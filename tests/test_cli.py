@@ -373,6 +373,54 @@ class TestMalformedFiles:
         assert res.exit_code == EXIT_INPUT_ERROR
         assert json.loads(res.output)["error"] == "NonpositiveC"
 
+    @pytest.mark.parametrize("field, corr", [
+        ("pairs", {"m": 2, "n": 2, "pairs": [[0, 0], [1, 1.9]]}),
+        ("pairs", {"m": 2, "n": 2, "pairs": [[0, 0], [True, 1]]}),
+        ("n", {"m": 2, "n": 2.9, "pairs": [[0, 0], [1, 1]]}),
+        ("m", {"m": 2.0, "n": 2, "pairs": [[0, 0], [1, 1]]}),
+        ("m", {"m": "2", "n": 2, "pairs": [[0, 0], [1, 1]]}),
+    ])
+    def test_correspondence_indices_must_be_integers(self, space_files, tmp_path, field, corr):
+        # int() read the pair [1, 1.9] as (1, 1) and true as 1
+        x, y = space_files
+        f = tmp_path / "corr.json"
+        f.write_text(json.dumps(corr))
+        res = run(["realize", x, y, "--corr", str(f)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        payload = json.loads(res.output)
+        assert payload["error"] == "ValueError"
+        assert f"'{field}'" in payload["message"]
+
+    @pytest.mark.parametrize("z", [0.7, True, 1.0])
+    def test_product_point_index_must_be_an_integer(self, space_files, tmp_path, z):
+        x, y = space_files
+        out = tmp_path / "prod.json"
+        assert run(["realize", x, y, "-o", str(out)]).exit_code == EXIT_OK
+        data = json.loads(out.read_text())
+        point = next(p for p in data["product"]["points"] if p["z"] == int(z))
+        point["z"] = z
+        out.write_text(json.dumps(data))
+        res = run(["verify", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        payload = json.loads(res.output)
+        assert payload["error"] == "ValueError"
+        assert "'z'" in payload["message"]
+
+    def test_product_with_infinite_grid_value_exits_2(self, space_files, tmp_path):
+        # the grid used to load and verify with NaN errors, exit 1
+        x, y = space_files
+        out = tmp_path / "prod.json"
+        assert run(["realize", x, y, "--grid", "3", "-o", str(out)]).exit_code == EXIT_OK
+        data = json.loads(out.read_text())
+        data["product"]["grid"][-1] = float("inf")
+        for p in data["product"]["points"]:
+            if p["t"] == 1.0:
+                p["t"] = float("inf")
+        out.write_text(json.dumps(data))
+        res = run(["verify", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        assert "finite" in json.loads(res.output)["message"]
+
     @pytest.mark.parametrize(
         "loader", [space_from_json_dict, correspondence_from_json_dict, product_from_json_dict]
     )
@@ -469,3 +517,20 @@ class TestBenchmarkContract:
         for mod, fname in [*tracing.TRACED, *tracing.ALIASES]:
             assert callable(getattr(getattr(ghgeo, mod), fname)), (mod, fname)
         assert callable(ghgeo.realization.ProductSpace.to_json_dict)
+
+    def test_realize_verify_op_and_self_check(self, monkeypatch, tmp_path):
+        # the benchmark's report checks read this tree's condition reports;
+        # one realize-verify op and the harness's self-check must hold
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        workloads = importlib.import_module("workloads")
+        tracing = importlib.import_module("tracing")
+        files = workloads.FreshFiles(tmp_path / "bench")
+        try:
+            wl = workloads.RealizeVerify(401, files, BENCH_DIR.parent)
+            wl.setup()
+            assert wl.SLOTS[1] == (5, 31)
+            assert wl.check(1, wl.run(1, tracing.NullTracer())) == []
+            caught = workloads.self_check(files, BENCH_DIR.parent)
+            assert caught and all(caught.values()), caught
+        finally:
+            files.cleanup()

@@ -125,6 +125,13 @@ class TestValidateMetric:
         space = validate_metric([[0, 1], [1, 0]], kind="pseudometric")
         assert space.kind == "metric"
 
+    def test_space_kind_is_derived_from_the_matrix(self):
+        # a zero distance between distinct points was stored as kind "metric"
+        assert FiniteMetricSpace(("a", "b"), [[0, 0], [0, 0]]).kind == "pseudometric"
+        assert FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]]).kind == "metric"
+        with pytest.raises(TypeError):
+            FiniteMetricSpace(("a", "b"), [[0, 1], [1, 0]], kind="pseudometric")
+
     @given(st.integers(0, 10_000), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_accepts_planar_distance_matrices(self, seed, n):

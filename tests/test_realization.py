@@ -21,10 +21,6 @@ from ghgeo import (
     ParameterOutOfRange,
     RectilinearFamily,
     build_product,
-    check_lipschitz_condition,
-    check_lipschitz_exact,
-    check_monotone_condition,
-    check_monotone_exact,
     gh_distance_exact,
     distortion,
     geodesic_slice,
@@ -32,6 +28,7 @@ from ghgeo import (
     product_distance,
     product_from_json_dict,
     realize_geodesic,
+    run_condition_checks,
     validate_metric,
     verify_product,
 )
@@ -59,6 +56,19 @@ def constant_family(matrix):
     return RectilinearFamily(m, m)
 
 
+def on_grid(fam):
+    """The same affine family, checked on the grid rather than in closed form."""
+    return CallableFamily(fam.ground_size, fam.a, fam.b, fam.dist_at, fam.labels)
+
+
+def monotone(fam, grid=ParamGrid.uniform(11)):
+    return run_condition_checks(fam, 1.0, grid, 1e-9)[0]
+
+
+def lipschitz(fam, c, grid=ParamGrid.uniform(11)):
+    return run_condition_checks(fam, c, grid, 1e-9)[1]
+
+
 class TestParamGrid:
     def test_uniform_endpoints(self):
         grid = ParamGrid.uniform(11)
@@ -73,6 +83,14 @@ class TestParamGrid:
     def test_at_least_two_values(self):
         with pytest.raises(ValueError):
             ParamGrid((0.0,))
+
+    @pytest.mark.parametrize(
+        "values", [(0.0, math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, math.nan)]
+    )
+    def test_non_finite_values_rejected(self, values):
+        # a NaN fails every `>=` test, so it passed the ordering check
+        with pytest.raises(ValueError, match="finite"):
+            ParamGrid(values)
 
 
 class TestProductDistance:
@@ -110,17 +128,15 @@ class TestProductDistance:
 
 class TestMonotoneCheck:
     def test_rectilinear_always_passes(self):
-        chk = check_monotone_condition(interp_family(), ParamGrid.uniform(11), 1e-9)
+        chk = monotone(on_grid(interp_family()))
         assert chk.ok
         assert chk.worst <= 1e-12
 
     def test_constant_family_passes(self):
-        fam = constant_family(line_space().dist)
-        chk = check_monotone_condition(fam, ParamGrid.uniform(11), 1e-9)
-        assert chk.ok
+        assert monotone(on_grid(constant_family(line_space().dist))).ok
 
     def test_sin_family_fails_near_midpoint(self):
-        chk = check_monotone_condition(sin_family(), ParamGrid.uniform(11), 1e-9)
+        chk = monotone(sin_family())
         assert not chk.ok
         assert chk.worst == pytest.approx(1.0, abs=1e-12)
         assert chk.witness is not None
@@ -128,48 +144,77 @@ class TestMonotoneCheck:
         assert chk.witness.t == pytest.approx(0.5)
 
     def test_closed_form_rectilinear(self):
-        chk = check_monotone_exact(interp_family())
+        chk = monotone(interp_family())
         assert chk.ok
         assert chk.method == "closed_form"
         assert chk.worst == 0.0
+        assert chk.tol == 0.0
 
 
 class TestLipschitzCheck:
     def test_half_distortion_scale_passes_exactly(self):
         fam = interp_family()
         c = 0.5 * fam.max_abs_slope()
-        exact = check_lipschitz_exact(fam, c)
+        exact = lipschitz(fam, c)
         assert exact.ok
         assert exact.worst == 0.0
-        grid = check_lipschitz_condition(fam, c, ParamGrid.uniform(11), 1e-9)
-        assert grid.ok
+        assert lipschitz(on_grid(fam), c).ok
 
     def test_generous_scale_passes(self):
         fam = interp_family()
-        chk = check_lipschitz_exact(fam, fam.max_abs_slope())
-        assert chk.ok
+        assert lipschitz(fam, fam.max_abs_slope()).ok
 
     def test_quarter_distortion_scale_fails_with_witness(self):
         fam = interp_family()
         dis = fam.max_abs_slope()  # = 1
         c = 0.25 * dis
-        exact = check_lipschitz_exact(fam, c)
+        exact = lipschitz(fam, c)
         assert not exact.ok
+        assert exact.method == "closed_form"
         # deficit per unit |t-s| is dis/2, over [0,1] the same number
         assert exact.worst == pytest.approx(0.5 * dis)
         assert exact.witness is not None
         assert {exact.witness.z1, exact.witness.z2} == {0, 1}
         # slope is negative, so the larger value sits at t = a
         assert (exact.witness.t, exact.witness.s) == (0.0, 1.0)
-        grid = check_lipschitz_condition(fam, c, ParamGrid.uniform(11), 1e-9)
+        grid = lipschitz(on_grid(fam), c)
         assert not grid.ok
+        assert grid.method == "grid"
         assert grid.worst == pytest.approx(exact.worst, abs=1e-12)
 
     def test_max_slope_reported(self):
         fam = interp_family()
-        assert check_lipschitz_exact(fam, 1.0).max_slope == 1.0
-        grid = check_lipschitz_condition(fam, 1.0, ParamGrid.uniform(11), 1e-9)
-        assert grid.max_slope == pytest.approx(1.0, abs=1e-9)
+        assert lipschitz(fam, 1.0).max_slope == 1.0
+        assert lipschitz(on_grid(fam), 1.0).max_slope == pytest.approx(1.0, abs=1e-9)
+
+    def test_closed_form_keeps_a_nan(self):
+        # the closed form read monotone ok and a Lipschitz worst of 0.0 here
+        fam = RectilinearFamily([[0, math.nan], [math.nan, 0]], [[0, 1], [1, 0]])
+        for chk in run_condition_checks(fam, 0.5, ParamGrid.uniform(3)):
+            assert chk.method == "closed_form"
+            assert not chk.ok
+            assert math.isnan(chk.worst)
+            assert chk.witness is None
+
+    @pytest.mark.parametrize("kind", ["planar", "graph"])
+    def test_closed_form_matches_slope_formula(self, kind):
+        # max|dy - dx| <= 2c exactly, deficit (max|slope| - 2c)(b - a), the
+        # larger end of the witness pair first
+        for seed in range(8):
+            x, y = seeded_pair(kind, seed)
+            fam = RectilinearFamily.from_correspondence(gh_distance_exact(x, y).witness, x, y)
+            smax = fam.max_abs_slope()
+            for c in {0.5 * smax, 0.25 * smax, 0.3 + seed} - {0.0}:
+                chk = lipschitz(fam, c, ParamGrid.uniform(3))
+                assert (chk.ok, chk.max_slope) == (smax <= 2.0 * c, smax)
+                assert chk.worst == max(0.0, smax - 2.0 * c)
+                if chk.ok:
+                    assert chk.witness is None
+                    continue
+                w = chk.witness
+                assert abs(fam.slopes[w.z1, w.z2]) == smax
+                assert fam.dist_at(w.t)[w.z1, w.z2] >= fam.dist_at(w.s)[w.z1, w.z2]
+                assert {w.t, w.s} == {0.0, 1.0}
 
 
 class TestBuildProduct:
@@ -225,10 +270,9 @@ class TestBuildProduct:
 
     def test_nan_c_rejected_by_every_check(self):
         nan = float("nan")
-        with pytest.raises(NonpositiveC):
-            check_lipschitz_condition(sin_family(), nan, ParamGrid.uniform(3))
-        with pytest.raises(NonpositiveC):
-            check_lipschitz_exact(interp_family(), nan)
+        for fam in (sin_family(), interp_family()):
+            with pytest.raises(NonpositiveC):
+                run_condition_checks(fam, nan, ParamGrid.uniform(3))
         with pytest.raises(NonpositiveC):
             product_distance(interp_family(), nan, (0, 0.0), (1, 1.0))
         ident = Correspondence(3, 3, frozenset((i, i) for i in range(3)))
@@ -240,10 +284,9 @@ class TestBuildProduct:
         # inf passed `not c > 0`; each same-slice block was then inf * 0 = NaN
         with pytest.raises(NonpositiveC):
             build_product(interp_family(), c, ParamGrid.uniform(3), force=True)
-        with pytest.raises(NonpositiveC):
-            check_lipschitz_condition(sin_family(), c, ParamGrid.uniform(3))
-        with pytest.raises(NonpositiveC):
-            check_lipschitz_exact(interp_family(), c)
+        for fam in (sin_family(), interp_family()):
+            with pytest.raises(NonpositiveC):
+                run_condition_checks(fam, c, ParamGrid.uniform(3))
         with pytest.raises(NonpositiveC):
             product_distance(interp_family(), c, (0, 0.0), (1, 1.0))
         x, y = two_point_space(2.0), one_point_space()
@@ -268,6 +311,23 @@ class TestBuildProduct:
         corr = Correspondence(2, 1, frozenset({(0, 0), (1, 0)}))
         with pytest.raises(ValueError):
             realize_geodesic(x, y, corr, tol=tol)
+
+    @pytest.mark.parametrize("kind", ["planar", "graph", "non-affine"])
+    def test_every_entry_equals_product_distance(self, kind):
+        # product_distance is the reference for the blocked min-plus build
+        grid = ParamGrid((0.0, 0.1, 0.35, 0.8, 1.0))
+        for seed in range(4):
+            x, y = seeded_pair("graph" if kind == "graph" else "planar", seed)
+            fam = RectilinearFamily.from_correspondence(gh_distance_exact(x, y).witness, x, y)
+            c = 0.5 * fam.max_abs_slope() or 1.0
+            if kind == "non-affine":
+                dx, dy = fam.dx, fam.dy
+                w = lambda t: math.sin(math.pi * t)  # noqa: E731
+                fam = CallableFamily(len(dx), 0.0, 1.0, lambda t: (1 - w(t)) * dx + w(t) * dy)
+            prod = build_product(fam, c, grid, force=True)
+            points = [(z, t) for t in grid for z in range(fam.ground_size)]
+            ref = [[product_distance(fam, c, p, q) for q in points] for p in points]
+            assert np.array(ref).tobytes() == prod.dist.tobytes()
 
     def test_grid_must_span_family_segment(self):
         with pytest.raises(ParameterOutOfRange):
@@ -445,7 +505,6 @@ class TestLinearHausdorffIdentity:
             ambient = FiniteMetricSpace(
                 labels=tuple(f"q{i}" for i in range(prod.dist.shape[0])),
                 dist=prod.dist,
-                kind="pseudometric",
             )
             for ki, t in enumerate(prod.grid.values):
                 for kj, s in enumerate(prod.grid.values):
@@ -463,8 +522,7 @@ class TestLinearHausdorffIdentity:
             if res.value == 0.0:
                 continue
             prod, report = realize_geodesic(x, y, res.witness)
-            mono = check_monotone_condition(prod.family, prod.grid, tol=0.0)
-            lips = check_lipschitz_condition(prod.family, prod.c, prod.grid, tol=0.0)
+            mono, lips = run_condition_checks(on_grid(prod.family), prod.c, prod.grid, tol=0.0)
             if mono.ok and lips.ok:
                 assert report.max_triangle_violation <= 1e-9
 
