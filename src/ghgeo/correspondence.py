@@ -33,6 +33,17 @@ from .metric_core import FiniteMetricSpace, _json_convert, _json_fields, _json_i
 MAX_EXACT_BITS = 25
 
 
+def _index(value, what: str) -> int:
+    """An index as int: any integer but a bool, as the JSON loader reads
+    them; int() would read 1.9 and True as 1."""
+    if type(value) is int:
+        return value
+    try:
+        return _json_int(value)
+    except TypeError:
+        raise InvalidRelation(f"{what} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Relation:
     """A nonempty set of index pairs between [0, m) and [0, n)."""
@@ -42,8 +53,12 @@ class Relation:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _index(self.m, "m ="))
+        object.__setattr__(self, "n", _index(self.n, "n ="))
         object.__setattr__(
-            self, "pairs", frozenset((int(i), int(j)) for i, j in self.pairs)
+            self,
+            "pairs",
+            frozenset((_index(i, "pair index"), _index(j, "pair index")) for i, j in self.pairs),
         )
         if self.m <= 0 or self.n <= 0:
             raise InvalidRelation(f"index ranges must be positive, got {self.m}, {self.n}")
@@ -257,21 +272,28 @@ def _find_cover(compat, feas: int, lines, open_lines: list[int], m: int, n: int)
     return None
 
 
-def _min_cover_value(table: np.ndarray, m: int, n: int, incumbent: float) -> float:
-    """Minimum distortion over all correspondences, where ``table[p][q]`` is
-    that of {p, q} and ``incumbent`` that of some correspondence.  Each
-    cover found with all entries below the best value becomes the best,
-    until none is found or the best is 0.  A single slot has distortion 0,
-    so every slot starts feasible."""
+def _min_distortion(x: FiniteMetricSpace, y: FiniteMetricSpace, start) -> tuple[float, np.ndarray]:
+    """Minimum distortion over all correspondences between x and y, searched
+    from the correspondence with slot codes ``start``, and the delta table
+    it read, where ``table[p][q]`` is the distortion of {p, q}.
+
+    Each cover found with all entries strictly below the best value becomes
+    the best, until none is found or the best is 0.  The best is always the
+    distortion of a correspondence, so the value returned is the same float
+    whatever the start; from an optimal start it costs one failed cover
+    search.  A single slot has distortion 0, so every slot starts feasible.
+    """
+    m, n = len(x), len(y)
+    table = _deltas(x, y, np.arange(m * n))
     lines = _line_masks(m, n)
-    best = incumbent
+    best = float(table[start][:, start].max())
     while best > 0.0:
         compat = _bitsets(table < best)
         cover = _find_cover(compat, (1 << m * n) - 1, lines, list(range(m + n)), m, n)
         if cover is None:
             break
         best = float(table[cover][:, cover].max())
-    return best
+    return best, table
 
 
 def _canonical_cover(table: np.ndarray, m: int, n: int, d_star: float) -> int:
@@ -326,10 +348,7 @@ def gh_distance_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     """
     m, n = len(x), len(y)
     _require_within_cap(m, n)
-    table = _deltas(x, y, np.arange(m * n))
-    start = _greedy_codes(x, y)
-    incumbent = float(table[start][:, start].max())
-    d_star = _min_cover_value(table, m, n, incumbent)
+    d_star, table = _min_distortion(x, y, _greedy_codes(x, y))
     mask = _canonical_cover(table, m, n, d_star)
     witness = Correspondence.from_bitmask(m, n, mask)
     return GHResult(0.5 * d_star, witness, "exact", True)

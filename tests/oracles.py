@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive pure Python (plain loops, full
 enumerations, no pruning, no shared code with the implementations under
-test).  The one exception is ``bnb_gh``, the exact solver's former
-index-order branch and bound, which prunes so that it reaches m*n = 25
-where ``naive_gh`` cannot.
+test).  Two exceptions: ``bnb_gh``, the exact solver's former index-order
+branch and bound, which prunes so that it reaches m*n = 25 where
+``naive_gh`` cannot; and ``reference_slice_gh_check``, the slice checker's
+former body, which composes the library's own exact solver.
 """
 
 from __future__ import annotations
@@ -338,3 +339,31 @@ def bnb_gh(dx, dy) -> tuple[float, int]:
     full = max(max(row) for row in delta)
     d_star = _min_distortion_value(delta, m, n, full, floor)
     return 0.5 * d_star, _canonical_witness_mask(delta, m, n, d_star, floor)
+
+
+def reference_slice_gh_check(R, x, y, t: float, s: float) -> tuple[float, float]:
+    """(expected, actual) of the slice check by two full exact solves plus
+    ``distortion``, raising what ``slice_gh_check`` raises, in the same order."""
+    from ghgeo import (
+        NotOptimalCorrespondence,
+        ParameterOutOfRange,
+        SearchSpaceTooLarge,
+        distortion,
+        geodesic_slice,
+        gh_distance_exact,
+    )
+
+    for v in (t, s):
+        if not 0.0 <= v <= 1.0:
+            raise ParameterOutOfRange(f"parameter {v!r} outside [0, 1]")
+    if len(R) ** 2 > 25:
+        raise SearchSpaceTooLarge(f"m*n = {len(R) ** 2} exceeds the exhaustive-search cap of 25")
+    base = gh_distance_exact(x, y)
+    half_dis = 0.5 * distortion(R, x, y)
+    if abs(half_dis - base.value) > 1e-12:
+        raise NotOptimalCorrespondence(
+            f"half distortion {half_dis!r} differs from d_GH = {base.value!r}"
+        )
+    slice_t = geodesic_slice(R, x, y, t)
+    slice_s = geodesic_slice(R, x, y, s)
+    return abs(t - s) * base.value, gh_distance_exact(slice_t, slice_s).value

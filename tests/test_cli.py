@@ -534,3 +534,25 @@ class TestBenchmarkContract:
             assert caught and all(caught.values()), caught
         finally:
             files.cleanup()
+
+    def test_exact_cap_ops_pass_their_checks(self, monkeypatch, tmp_path):
+        # ops 0-11 of the exact-cap stream cover every shape of both kinds,
+        # with the 5 x 5 and 4 x 5 slice checks; each must pass the
+        # harness's own checks
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        workloads = importlib.import_module("workloads")
+        tracing = importlib.import_module("tracing")
+        monkeypatch.setattr(workloads.ExactCap, "STREAM", 12)
+        files = workloads.FreshFiles(tmp_path / "bench")
+        try:
+            wl = workloads.ExactCap(1, files, BENCH_DIR.parent)
+            wl.setup()
+            assert {wl.shape(0), wl.shape(4)} == {"planar 5x5", "planar 4x5"}
+            sliced = 0
+            for k in range(12):
+                out = wl.run(k, tracing.NullTracer())
+                sliced += out[1] is not None
+                assert wl.check(k, out) == [], (k, wl.shape(k))
+            assert sliced
+        finally:
+            files.cleanup()

@@ -84,6 +84,29 @@ class TestRelationTypes:
         with pytest.raises(NotSurjective):
             Correspondence(10**18, 1, frozenset({(0, 0)}))
 
+    @pytest.mark.parametrize(
+        "m, n, pairs, bad",
+        [
+            (2, 2, {(0, 0), (1, 1.9)}, "1.9"),
+            (2, 2, {(0, 0), (True, 1)}, "True"),
+            (2, 2, {(0, 0), (1, 1.0)}, "1.0"),
+            (2.5, 2, {(0, 0), (1, 1)}, "2.5"),
+            (2, True, {(0, 0), (1, 0)}, "True"),
+            (2, "2", {(0, 0), (1, 1)}, "'2'"),
+        ],
+    )
+    def test_indices_must_be_integers(self, m, n, pairs, bad):
+        # int() used to read 1.9 and True as 1, and m, n were never checked
+        with pytest.raises(InvalidRelation, match="not an integer") as err:
+            Correspondence(m, n, frozenset(pairs))
+        assert type(err.value) is InvalidRelation
+        assert bad in str(err.value)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        corr = Correspondence(np.int64(2), 2, frozenset({(np.int64(0), 0), (1, np.int32(1))}))
+        assert corr == Correspondence(2, 2, frozenset({(0, 0), (1, 1)}))
+        assert all(type(v) is int for v in (corr.m, corr.n, *(v for p in corr.pairs for v in p)))
+
     def test_bitmask_round_trip(self):
         corr = Correspondence(2, 2, frozenset({(0, 1), (1, 0)}))
         assert corr.bitmask() == 6

@@ -1,13 +1,18 @@
 """Tests for rectilinear geodesic slices and the shortest-curve property."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghgeo import (
     Correspondence,
     NotOptimalCorrespondence,
     ParameterOutOfRange,
     SearchSpaceTooLarge,
+    SliceGHCheck,
     gh_distance_exact,
     geodesic_slice,
     pullback_matrices,
@@ -15,7 +20,8 @@ from ghgeo import (
     validate_metric,
 )
 
-from instances import one_point_space, planar_pair, two_point_space
+from instances import graph_matrix, one_point_space, planar_matrix, planar_pair, two_point_space
+from oracles import reference_slice_gh_check
 
 
 def two_v_two():
@@ -168,3 +174,73 @@ class TestSliceGHCheck:
                     chk = slice_gh_check(res.witness, x, y, t, s)
                     assert chk.error <= 1e-9
             checked += 1
+
+
+@st.composite
+def slice_check_inputs(draw):
+    """Planar or graph pairs up to 6 x 5 with the exact solver's witness, a
+    relation of arbitrary pairs, or one of another shape, and (t, s) in
+    [0, 1] with an occasional value outside it."""
+    kind = draw(st.sampled_from([planar_matrix, graph_matrix]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.integers(0, 9)) == 0:
+        m = 6  # past the cap for every relation of this shape
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    x, y = validate_metric(kind(rng, m)), validate_metric(kind(rng, n))
+    if m * n <= 25 and draw(st.booleans()):
+        r = gh_distance_exact(x, y).witness
+    else:
+        rm, rn = draw(st.sampled_from([(m, n), (m, n), (m, n), (2, 3)]))
+        rows, cols = draw(st.permutations(range(rm))), draw(st.permutations(range(rn)))
+        pairs = {(rows[a % rm], cols[a % rn]) for a in range(max(rm, rn))}
+        extra = st.tuples(st.integers(0, rm - 1), st.integers(0, rn - 1))
+        r = Correspondence(rm, rn, frozenset(pairs | draw(st.sets(extra, max_size=2))))
+    unit = st.floats(0.0, 1.0)
+    param = st.one_of(unit, unit, unit, st.sampled_from([0.0, 0.25, 1.0, 1.5]))
+    t = draw(param)
+    other = param.filter(lambda v: v != t)
+    return r, x, y, t, draw(st.one_of(other, other, other, st.just(t)))
+
+
+def outcome(check, *args):
+    """The bits of (expected, actual), or the exception's type and message."""
+    try:
+        result = check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, SliceGHCheck):
+        result = result.expected, result.actual
+    return tuple(v.hex() for v in result)
+
+
+class TestSliceGHCheckAgainstReference:
+    @settings(max_examples=120, deadline=None)
+    @given(slice_check_inputs())
+    def test_matches_two_exact_solves(self, inputs):
+        # the value searches return the exact solver's floats bit for bit,
+        # and every exception comes in the former order with its message
+        assert outcome(slice_gh_check, *inputs) == outcome(reference_slice_gh_check, *inputs)
+
+    def test_no_witness_search_on_the_solvers_witness(self, monkeypatch):
+        from ghgeo import correspondence, geodesic
+
+        cases = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            kind = (planar_matrix, graph_matrix)[seed % 2]
+            x, y = validate_metric(kind(rng, 5)), validate_metric(kind(rng, 4 + seed % 2))
+            r = gh_distance_exact(x, y).witness
+            if len(r) <= 5:
+                cases.append((r, x, y, reference_slice_gh_check(r, x, y, 0.25, 0.75)))
+        assert len(cases) >= 10
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("slice_gh_check ran a full exact solve")
+
+        monkeypatch.setattr(correspondence, "_canonical_cover", forbidden)
+        monkeypatch.setattr(correspondence, "gh_distance_exact", forbidden)
+        # a name imported into geodesic would escape the first patch
+        monkeypatch.setattr(geodesic, "gh_distance_exact", forbidden, raising=False)
+        for r, x, y, expected in cases:
+            chk = slice_gh_check(r, x, y, 0.25, 0.75)
+            assert (chk.expected, chk.actual) == expected
