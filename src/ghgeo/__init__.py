@@ -49,7 +49,6 @@ from .correspondence import (
     Correspondence,
     GHResult,
     HeuristicConfig,
-    Relation,
     correspondence_from_json_dict,
     distortion,
     gh_distance_exact,
@@ -75,7 +74,6 @@ from .realization import (
     VerificationReport,
     build_product,
     load_product,
-    product_distance,
     product_from_json_dict,
     realize_geodesic,
     run_condition_checks,

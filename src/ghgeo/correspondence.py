@@ -1,4 +1,4 @@
-"""Relations, correspondences, distortion, and Gromov-Hausdorff distance.
+"""Correspondences, distortion, and Gromov-Hausdorff distance.
 
 The Gromov-Hausdorff distance between finite spaces X, Y is half the minimum
 distortion over all correspondences R (subsets of X x Y projecting onto both
@@ -45,8 +45,9 @@ def _index(value, what: str) -> int:
 
 
 @dataclass(frozen=True)
-class Relation:
-    """A nonempty set of index pairs between [0, m) and [0, n)."""
+class Correspondence:
+    """A nonempty set of index pairs between [0, m) and [0, n) whose
+    projections cover both ranges."""
 
     m: int
     n: int
@@ -67,6 +68,15 @@ class Relation:
         for i, j in self.pairs:
             if not (0 <= i < self.m and 0 <= j < self.n):
                 raise InvalidRelation(f"pair ({i}, {j}) outside [0,{self.m}) x [0,{self.n})")
+        if not self.is_surjective():
+            raise NotSurjective("projections of the pair set are not surjective")
+
+    @classmethod
+    def from_bitmask(cls, m: int, n: int, mask: int) -> "Correspondence":
+        pairs = frozenset(
+            (k // n, k % n) for k in range(m * n) if mask >> k & 1
+        )
+        return cls(m, n, pairs)
 
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)
@@ -87,29 +97,8 @@ class Relation:
     def __len__(self) -> int:
         return len(self.pairs)
 
-
-@dataclass(frozen=True)
-class Correspondence(Relation):
-    """A relation whose projections cover all of [0, m) and [0, n)."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.is_surjective():
-            raise NotSurjective("projections of the pair set are not surjective")
-
-    @classmethod
-    def from_bitmask(cls, m: int, n: int, mask: int) -> "Correspondence":
-        pairs = frozenset(
-            (k // n, k % n) for k in range(m * n) if mask >> k & 1
-        )
-        return cls(m, n, pairs)
-
     def transpose(self) -> "Correspondence":
         return Correspondence(self.n, self.m, frozenset((j, i) for i, j in self.pairs))
-
-    @property
-    def is_bijection(self) -> bool:
-        return len(self.pairs) == self.m == self.n
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "pairs": [list(p) for p in self.sorted_pairs()]}
@@ -155,27 +144,23 @@ class GHResult:
 # distortion
 # ---------------------------------------------------------------------------
 
-def _check_sizes(rel: Relation, x: FiniteMetricSpace, y: FiniteMetricSpace) -> None:
-    if rel.m != len(x) or rel.n != len(y):
-        raise SizeMismatch(
-            f"relation is {rel.m} x {rel.n} but spaces have {len(x)} and {len(y)} points"
-        )
-
-
 def _pullback(
-    rel: Relation, x: FiniteMetricSpace, y: FiniteMetricSpace
+    R: Correspondence, x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """The sorted pairs of the relation and the X and Y distances between them."""
-    _check_sizes(rel, x, y)
-    ps = rel.sorted_pairs()
+    """The sorted pairs of R and the X and Y distances between them."""
+    if R.m != len(x) or R.n != len(y):
+        raise SizeMismatch(
+            f"relation is {R.m} x {R.n} but spaces have {len(x)} and {len(y)} points"
+        )
+    ps = R.sorted_pairs()
     xi = [i for i, _ in ps]
     yj = [j for _, j in ps]
     return ps, x.dist[np.ix_(xi, xi)], y.dist[np.ix_(yj, yj)]
 
 
-def distortion(rel: Relation, x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
-    """max | |xx'| - |yy'| | over pairs of elements of the relation."""
-    _, dx, dy = _pullback(rel, x, y)
+def distortion(R: Correspondence, x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
+    """max | |xx'| - |yy'| | over pairs of elements of R."""
+    _, dx, dy = _pullback(R, x, y)
     return float(np.abs(dx - dy).max())
 
 
@@ -184,10 +169,10 @@ def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     return 0.5 * abs(x.diameter() - y.diameter())
 
 
-def _require_within_cap(m: int, n: int) -> None:
-    if m * n > MAX_EXACT_BITS:
+def _require_within_cap(slots: int, what: str = "m*n") -> None:
+    if slots > MAX_EXACT_BITS:
         raise SearchSpaceTooLarge(
-            f"m*n = {m * n} exceeds the exhaustive-search cap of {MAX_EXACT_BITS}"
+            f"{what} = {slots} exceeds the exhaustive-search cap of {MAX_EXACT_BITS}"
         )
 
 
@@ -347,7 +332,7 @@ def gh_distance_exact(x: FiniteMetricSpace, y: FiniteMetricSpace) -> GHResult:
     len(x) * len(y) <= 25.
     """
     m, n = len(x), len(y)
-    _require_within_cap(m, n)
+    _require_within_cap(m * n)
     d_star, table = _min_distortion(x, y, _greedy_codes(x, y))
     mask = _canonical_cover(table, m, n, d_star)
     witness = Correspondence.from_bitmask(m, n, mask)

@@ -82,11 +82,11 @@ class NotSurjective(InvalidRelation):
 
 
 class SizeMismatch(GHGeoError):
-    """Relation shape does not match the given spaces."""
+    """Correspondence shape does not match the given spaces."""
 
 
 class SearchSpaceTooLarge(GHGeoError):
-    """Exhaustive search refused: m*n exceeds the hard cap."""
+    """Exhaustive search refused: m*n (or |R|^2 for a slice check) exceeds the hard cap."""
 
 
 # ---------------------------------------------------------------------------

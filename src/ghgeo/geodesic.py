@@ -41,7 +41,8 @@ def pullback_matrices(
 
 def _slice(dx: np.ndarray, dy: np.ndarray, labels: tuple[str, ...], t: float) -> FiniteMetricSpace:
     t = float(t)
-    return FiniteMetricSpace(labels=labels, dist=(1.0 - t) * dx + t * dy, name=f"geodesic(t={t})")
+    # a convex combination of two normal-form matrices is in normal form
+    return FiniteMetricSpace._trusted(labels, (1.0 - t) * dx + t * dy, f"geodesic(t={t})")
 
 
 def geodesic_slice(
@@ -88,8 +89,8 @@ def slice_gh_check(
         if not 0.0 <= v <= 1.0:
             raise ParameterOutOfRange(f"parameter {v!r} outside [0, 1]")
     k, n = len(R), len(y)
-    _require_within_cap(k, k)
-    _require_within_cap(len(x), n)
+    _require_within_cap(k * k, "|R|^2")
+    _require_within_cap(len(x) * n)
     dx, dy, labels = pullback_matrices(R, x, y)
     half_dis = 0.5 * float(np.abs(dx - dy).max())
     base = 0.5 * _min_distortion(x, y, [i * n + j for i, j in R.pairs])[0]

@@ -42,12 +42,6 @@ Kind = Literal["metric", "pseudometric"]
 DEFAULT_TOL = 1e-9
 
 
-def _frozen_matrix(matrix) -> np.ndarray:
-    arr = np.array(matrix, dtype=float, copy=True)
-    arr.setflags(write=False)
-    return arr
-
-
 def _check_form(d: np.ndarray, tol: float) -> bool:
     """Raise unless the square matrix ``d`` is nonempty, finite, and symmetric,
     nonnegative and zero on the diagonal within ``tol``, naming the worst
@@ -75,6 +69,11 @@ def _check_form(d: np.ndarray, tol: float) -> bool:
     return worst == 0.0 and low >= 0.0 and worst_diag == 0.0
 
 
+def _check_labels(labels: Sequence[str], d: np.ndarray) -> None:
+    if d.shape[0] != len(labels):
+        raise ValueError(f"{len(labels)} labels for a {d.shape[0]}-point matrix")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A finite set of labelled points with a (pseudo)metric distance matrix.
@@ -93,24 +92,32 @@ class FiniteMetricSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        arr = _frozen_matrix(self.dist)
+        arr = np.array(self.dist, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise NonSquareMatrix(f"distance matrix has shape {arr.shape}")
-        if arr.shape[0] != len(self.labels):
-            raise ValueError(
-                f"{len(self.labels)} labels for a {arr.shape[0]}-point matrix"
-            )
+        _check_labels(self.labels, arr)
         _check_form(arr, 0.0)
+        self._freeze(arr)
+
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], dist: np.ndarray, name: str) -> "FiniteMetricSpace":
+        """A space over ``dist``, a fresh float matrix already in normal form
+        with one label per row, frozen in place: no copy and no check."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "labels", labels)
+        object.__setattr__(space, "name", name)
+        space._freeze(dist)
+        return space
+
+    def _freeze(self, arr: np.ndarray) -> None:
+        """Store ``arr`` read-only and derive ``kind`` from it."""
+        arr.setflags(write=False)
         object.__setattr__(self, "dist", arr)
         n = arr.shape[0]
         strict = np.count_nonzero(arr > 0.0) == n * (n - 1)  # the diagonal is 0
         object.__setattr__(self, "kind", "metric" if strict else "pseudometric")
 
     def __len__(self) -> int:
-        return self.dist.shape[0]
-
-    @property
-    def n(self) -> int:
         return self.dist.shape[0]
 
     def distance(self, i: int, j: int) -> float:
@@ -121,9 +128,6 @@ class FiniteMetricSpace:
 
     def subset(self, indices: Iterable[int]) -> "PointSubset":
         return PointSubset(self, frozenset(int(i) for i in indices))
-
-    def all_points(self) -> "PointSubset":
-        return PointSubset(self, frozenset(range(len(self))))
 
     def to_json_dict(self) -> dict:
         return {
@@ -281,9 +285,9 @@ def validate_metric(
         np.maximum(normal, 0.0, out=normal)
         np.fill_diagonal(normal, 0.0)
 
-    if labels is None:
-        labels = [f"p{i}" for i in range(n)]
-    space = FiniteMetricSpace(labels=tuple(labels), dist=normal, name=name)
+    labels = tuple(f"p{i}" for i in range(n)) if labels is None else tuple(str(s) for s in labels)
+    _check_labels(labels, normal)
+    space = FiniteMetricSpace._trusted(labels, normal, name)
     if kind == "metric" and space.kind != "metric":
         mask = (normal <= 0.0) & ~np.eye(n, dtype=bool)
         i, j = np.argwhere(mask)[0]
@@ -359,6 +363,13 @@ def _json_int(value) -> int:
     return int(value)
 
 
+def _json_float(value) -> float:
+    """A JSON number as float; float() would read "1.5" as 1.5 and false as 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_json(text: str):
     """json.loads, with nesting too deep for the parser reported as ValueError."""
     try:
@@ -367,8 +378,20 @@ def _parse_json(text: str):
         raise ValueError("JSON is nested too deeply to parse") from None
 
 
+# the types json.loads gives a number; bool, a subclass of int, is not one
+_JSON_NUMBERS = frozenset({float, int})
+
+
 def _float_array(value) -> np.ndarray:
-    return np.array(value, dtype=float)
+    """A JSON matrix as a float array.  np.array reads "1.5" and false as
+    numbers, even mixed into a row of floats, so each row's types are read."""
+    arr = np.array(value, dtype=float)
+    if arr.ndim == 2:
+        for row in value:
+            if not _JSON_NUMBERS.issuperset(map(type, row)):
+                for v in row:
+                    _json_float(v)
+    return arr
 
 
 def space_from_json_dict(data: dict, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:

@@ -48,6 +48,7 @@ from .metric_core import (
     _float_array,
     _json_convert,
     _json_fields,
+    _json_float,
     _json_int,
     _parse_json,
     max_triangle_deficit,
@@ -324,24 +325,6 @@ def run_condition_checks(
 # the product space
 # ---------------------------------------------------------------------------
 
-def product_distance(
-    family: InterpolationFamily,
-    c: float,
-    p1: tuple[int, float],
-    p2: tuple[int, float],
-) -> float:
-    """Distance between (z1, t) and (z2, s): shortcut minimum plus c|t - s|."""
-    _check_c(c)
-    z1, t = p1
-    z2, s = p2
-    for z in (z1, z2):
-        if not 0 <= z < family.ground_size:
-            raise ValueError(f"ground index {z} out of range")
-    a = family.dist_at(t)
-    b = family.dist_at(s)
-    return float((a[z1, :] + b[:, z2]).min() + c * abs(t - s))
-
-
 @dataclass(frozen=True, eq=False)
 class ProductSpace:
     """The finite product Z x grid with the shortcut-plus-vertical metric.
@@ -609,9 +592,9 @@ def product_from_json_dict(data: dict) -> ProductSpace:
         data = data["product"]
     what = "product JSON"
     c, grid, pts, mat = _json_fields(data, what, ("c", "grid", "points", "matrix"))
-    c = _json_convert(float, c, what, "c")
+    c = _json_convert(_json_float, c, what, "c")
     _check_c(c)
-    grid = ParamGrid(_json_convert(lambda v: tuple(float(t) for t in v), grid, what, "grid"))
+    grid = ParamGrid(_json_convert(lambda v: tuple(map(_json_float, v)), grid, what, "grid"))
     pts = _json_convert(list, pts, what, "points")
     mat = _json_convert(_float_array, mat, what, "matrix")
     n = len(pts)
@@ -629,7 +612,7 @@ def product_from_json_dict(data: dict) -> ProductSpace:
         where_p = f"product JSON point {file_idx}"
         zi, t, label = _json_fields(p, where_p, ("z", "t", "label"))
         zi = _json_convert(_json_int, zi, where_p, "z")
-        t = _json_convert(float, t, where_p, "t")
+        t = _json_convert(_json_float, t, where_p, "t")
         label = str(label)
         if not 0 <= zi < z:
             raise ValueError(f"point z index {zi} out of range")

@@ -6,6 +6,7 @@ test).  Two exceptions: ``bnb_gh``, the exact solver's former index-order
 branch and bound, which prunes so that it reaches m*n = 25 where
 ``naive_gh`` cannot; and ``reference_slice_gh_check``, the slice checker's
 former body, which composes the library's own exact solver.
+``product_distance`` also reads the family's slices through its ``dist_at``.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def reference_slice_gh_check(R, x, y, t: float, s: float) -> tuple[float, float]
         if not 0.0 <= v <= 1.0:
             raise ParameterOutOfRange(f"parameter {v!r} outside [0, 1]")
     if len(R) ** 2 > 25:
-        raise SearchSpaceTooLarge(f"m*n = {len(R) ** 2} exceeds the exhaustive-search cap of 25")
+        raise SearchSpaceTooLarge(f"|R|^2 = {len(R) ** 2} exceeds the exhaustive-search cap of 25")
     base = gh_distance_exact(x, y)
     half_dis = 0.5 * distortion(R, x, y)
     if abs(half_dis - base.value) > 1e-12:
@@ -367,3 +368,12 @@ def reference_slice_gh_check(R, x, y, t: float, s: float) -> tuple[float, float]
     slice_t = geodesic_slice(R, x, y, t)
     slice_s = geodesic_slice(R, x, y, s)
     return abs(t - s) * base.value, gh_distance_exact(slice_t, slice_s).value
+
+
+def product_distance(family, c: float, p1, p2) -> float:
+    """Distance between (z1, t) and (z2, s) in the product over ``family``:
+    min over z of |z1 z|_t + |z z2|_s, plus c|t - s|, one point pair at a
+    time.  The reference for build_product's blocked min-plus pass."""
+    (z1, t), (z2, s) = p1, p2
+    a, b = family.dist_at(t).tolist(), family.dist_at(s).tolist()
+    return min(a[z1][z] + b[z][z2] for z in range(family.ground_size)) + c * abs(t - s)

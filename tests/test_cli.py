@@ -391,6 +391,42 @@ class TestMalformedFiles:
         assert payload["error"] == "ValueError"
         assert f"'{field}'" in payload["message"]
 
+    def test_space_matrix_must_hold_json_numbers(self, tmp_path):
+        # np.array(..., dtype=float) read "0" and false as numbers: exit 0
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"name": "X", "points": ["a", "b"],
+                                 "matrix": [["0", "1.5"], ["1.5", False]]}))
+        res = run(["validate", str(f)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        payload = json.loads(res.output)
+        assert payload["error"] == "ValueError"
+        assert "'matrix'" in payload["message"]
+
+    @pytest.mark.parametrize("field", ["c", "grid", "t", "matrix"])
+    def test_product_float_fields_must_be_json_numbers(self, space_files, tmp_path, field):
+        # float() read "0.5" and false as numbers, so each file loaded
+        x, y = space_files
+        out = tmp_path / "prod.json"
+        assert run(["realize", x, y, "--grid", "2", "-o", str(out)]).exit_code == EXIT_OK
+        data = json.loads(out.read_text())
+        prod = data["product"]
+        assert prod["c"] == 0.5 and prod["grid"] == [0.0, 1.0]
+        if field == "c":
+            prod["c"] = "0.5"
+        elif field == "grid":
+            prod["grid"] = [False, True]
+        elif field == "t":
+            for p in prod["points"]:
+                p["t"] = bool(p["t"])
+        else:
+            prod["matrix"][0][0] = False
+        out.write_text(json.dumps(data))
+        res = run(["verify", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        payload = json.loads(res.output)
+        assert payload["error"] == "ValueError"
+        assert f"'{field}'" in payload["message"]
+
     @pytest.mark.parametrize("z", [0.7, True, 1.0])
     def test_product_point_index_must_be_an_integer(self, space_files, tmp_path, z):
         x, y = space_files

@@ -1,4 +1,4 @@
-"""Tests for relations, distortion, and GH distance solvers."""
+"""Tests for correspondences, distortion, and GH distance solvers."""
 
 import importlib
 import itertools
@@ -20,7 +20,6 @@ from ghgeo import (
     InvalidRelation,
     NonzeroDiagonal,
     NotSurjective,
-    Relation,
     SearchSpaceTooLarge,
     SizeMismatch,
     correspondence_from_json_dict,
@@ -66,15 +65,18 @@ def two_v_two():
 
 class TestRelationTypes:
     def test_empty_pairs_rejected(self):
-        with pytest.raises(InvalidRelation):
-            Relation(2, 2, frozenset())
+        # an empty or out-of-range pair set is an invalid relation, checked
+        # before surjectivity
+        with pytest.raises(InvalidRelation) as err:
+            Correspondence(2, 2, frozenset())
+        assert type(err.value) is InvalidRelation
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidRelation):
-            Relation(2, 2, frozenset({(0, 2)}))
+        with pytest.raises(InvalidRelation) as err:
+            Correspondence(2, 2, frozenset({(0, 0), (1, 1), (0, 2)}))
+        assert type(err.value) is InvalidRelation
 
     def test_non_surjective_rejected(self):
-        Relation(2, 2, frozenset({(0, 0)}))  # fine as a relation
         with pytest.raises(NotSurjective):
             Correspondence(2, 2, frozenset({(0, 0)}))
 
@@ -137,14 +139,10 @@ class TestDistortion:
         full = Correspondence(2, 2, frozenset(itertools.product(range(2), range(2))))
         assert distortion(full, x, y) == 2.0
 
-    def test_singleton_relation_zero(self):
-        x, y = two_v_two()
-        assert distortion(Relation(2, 2, frozenset({(1, 1)})), x, y) == 0.0
-
     def test_size_mismatch(self):
         x, y = two_v_two()
         with pytest.raises(SizeMismatch):
-            distortion(Relation(3, 2, frozenset({(2, 1)})), x, y)
+            distortion(Correspondence(3, 2, frozenset({(0, 0), (1, 1), (2, 1)})), x, y)
 
 
 class TestEnumeration:
@@ -180,7 +178,7 @@ class TestExactSolver:
         x, y = two_v_two()
         res = gh_distance_exact(x, y)
         assert res.value == 0.5
-        assert res.witness.is_bijection
+        assert len(res.witness.pairs) == res.witness.m == res.witness.n
         # canonical witness: smallest bitmask among the two optimal bijections
         assert res.witness.bitmask() == 6
 

@@ -160,6 +160,15 @@ class TestSliceGHCheck:
         with pytest.raises(SearchSpaceTooLarge):
             slice_gh_check(r, x, y, 0.0, 1.0)
 
+    def test_cap_message_names_the_relation_size(self):
+        # the message read "m*n = 36" for this 3 x 4 pair, whose m*n is 12
+        x = validate_metric(planar_matrix(random.Random(1), 3))
+        y = validate_metric(planar_matrix(random.Random(2), 4))
+        r = Correspondence(3, 4, frozenset({(0, 0), (1, 1), (2, 2), (2, 3), (0, 1), (1, 0)}))
+        with pytest.raises(SearchSpaceTooLarge) as err:
+            slice_gh_check(r, x, y, 0.0, 1.0)
+        assert str(err.value) == "|R|^2 = 36 exceeds the exhaustive-search cap of 25"
+
     def test_geodesic_property_on_grid(self):
         checked = 0
         seed = 0

@@ -25,6 +25,7 @@ from ghgeo import (
     TriangleViolation,
     ZeroOffDiagonal,
     dump_space,
+    geodesic_slice,
     gh_distance_exact,
     hausdorff_distance,
     load_space,
@@ -32,6 +33,7 @@ from ghgeo import (
     point_set_distance,
     realize_geodesic,
     set_set_distance,
+    slice_gh_check,
     space_from_text,
     validate_metric,
 )
@@ -161,17 +163,28 @@ JITTER = 3e-10
 
 
 @st.composite
-def within_tol_matrices(draw):
+def within_tol_matrices(draw, max_size: int = 7, jitter: bool = True):
     """A planar or graph matrix, optionally with point 0 duplicated (a zero
     off-diagonal entry), every entry moved by at most JITTER: asymmetric,
-    nonzero on the diagonal and negative where zero, each within tol."""
+    nonzero on the diagonal and negative where zero, each within tol.
+    Without jitter the matrix is in normal form, with a random choice of
+    -0.0 diagonal entries."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    d = draw(st.sampled_from([planar_matrix, graph_matrix]))(rng, draw(st.integers(1, 7)))
+    d = draw(st.sampled_from([planar_matrix, graph_matrix]))(rng, draw(st.integers(1, max_size)))
     if draw(st.booleans()):
         d = [row + [row[0]] for row in d]
         d.append(list(d[0]))
-    jitter = st.floats(-JITTER, JITTER)
-    return [[v + draw(jitter) for v in row] for row in d]
+    if not jitter:
+        for i in range(len(d)):
+            d[i][i] = draw(st.sampled_from([0.0, -0.0]))
+        return d
+    noise = st.floats(-JITTER, JITTER)
+    return [[v + draw(noise) for v in row] for row in d]
+
+
+def accepted_matrices(max_size: int = 7):
+    """Matrices validate_metric accepts, within tol of the normal form or in it."""
+    return st.one_of(within_tol_matrices(max_size), within_tol_matrices(max_size, jitter=False))
 
 
 def points(d) -> tuple[str, ...]:
@@ -225,6 +238,50 @@ class TestNormalForm:
         x, y = two_point_space(2.0), two_point_space(1.0)
         prod, _ = realize_geodesic(x, y, gh_distance_exact(x, y).witness)
         assert np.array_equal(FiniteMetricSpace(points(prod.dist), prod.dist).dist, prod.dist)
+
+
+class TestTrustedConstruction:
+    """validate_metric and geodesic_slice build spaces without the public
+    constructor's checks; rebuilding one through it changes nothing."""
+
+    @staticmethod
+    def assert_unchanged_by_public_constructor(space):
+        again = FiniteMetricSpace(space.labels, space.dist, space.name)
+        assert again.dist.tobytes() == space.dist.tobytes()
+        assert (again.kind, again.labels, again.name) == (space.kind, space.labels, space.name)
+        assert not space.dist.flags.writeable
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix=accepted_matrices())
+    def test_validated_space(self, matrix):
+        space = validate_metric(matrix, labels=range(len(matrix)), name="X")
+        assert space.labels == tuple(str(i) for i in range(len(matrix)))
+        self.assert_unchanged_by_public_constructor(space)
+
+    @settings(max_examples=40, deadline=None)
+    @given(dx=accepted_matrices(4), dy=accepted_matrices(4), t=st.floats(0.0, 1.0))
+    def test_slices_of_solver_witnesses(self, dx, dy, t):
+        x, y = validate_metric(dx), validate_metric(dy)
+        r = gh_distance_exact(x, y).witness
+        for v in (0.0, t, 1.0):
+            self.assert_unchanged_by_public_constructor(geodesic_slice(r, x, y, v))
+
+    def test_form_checked_once_per_validation_and_never_per_slice(self, monkeypatch):
+        calls = []
+        check = metric_core._check_form
+        monkeypatch.setattr(
+            metric_core, "_check_form", lambda d, tol: calls.append(tol) or check(d, tol)
+        )
+        x = validate_metric(planar_matrix(random.Random(3), 3))
+        y = validate_metric(graph_matrix(random.Random(4), 3), tol=0.0)
+        assert calls == [1e-9, 0.0]
+        r = gh_distance_exact(x, y).witness
+        for t in (0.0, 0.5, 1.0):
+            geodesic_slice(r, x, y, t)
+        slice_gh_check(r, x, y, 0.25, 0.75)
+        assert calls == [1e-9, 0.0]
+        FiniteMetricSpace(x.labels, x.dist)
+        assert calls == [1e-9, 0.0, 0.0]
 
 
 class TestPointAndSetDistances:

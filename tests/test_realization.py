@@ -25,7 +25,6 @@ from ghgeo import (
     distortion,
     geodesic_slice,
     load_product,
-    product_distance,
     product_from_json_dict,
     realize_geodesic,
     run_condition_checks,
@@ -34,6 +33,7 @@ from ghgeo import (
 )
 
 from instances import graph_matrix, line_space, one_point_space, planar_pair, two_point_space
+from oracles import product_distance
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -93,37 +93,39 @@ class TestParamGrid:
             ParamGrid(values)
 
 
+def product_entry(fam, c, grid, p, q) -> float:
+    """The distance between points p = (z1, t) and q = (z2, s) of the
+    product built over ``grid``."""
+    prod = build_product(fam, c, ParamGrid(grid))
+    (z1, t), (z2, s) = p, q
+    return float(prod.dist[prod.point_index(z1, grid.index(t)), prod.point_index(z2, grid.index(s))])
+
+
 class TestProductDistance:
+    GRID = (0.0, 0.2, 0.25, 0.3, 0.9, 1.0)
+
     def test_equal_parameters_reduce_to_slice(self):
         fam = interp_family()
         for t in (0.0, 0.3, 1.0):
             want = float(fam.dist_at(t)[0, 1])
-            assert product_distance(fam, 0.7, (0, t), (1, t)) == want
+            assert product_entry(fam, 0.7, self.GRID, (0, t), (1, t)) == want
 
     def test_vertical_fiber_is_scaled_euclidean(self):
         fam = interp_family()
         for z in (0, 1):
-            assert product_distance(fam, 0.7, (z, 0.25), (z, 1.0)) == 0.7 * 0.75
+            assert product_entry(fam, 0.7, self.GRID, (z, 0.25), (z, 1.0)) == 0.7 * 0.75
 
     def test_cross_corner_value(self):
         fam = interp_family()
         c = 0.8
         # min(0 + dy01, dx01 + 0) + c = min(1, 2) + c
-        assert product_distance(fam, c, (0, 0.0), (1, 1.0)) == 1.0 + c
+        assert product_entry(fam, c, self.GRID, (0, 0.0), (1, 1.0)) == 1.0 + c
 
     def test_symmetric_in_arguments(self):
         fam = interp_family()
-        a = product_distance(fam, 0.6, (0, 0.2), (1, 0.9))
-        b = product_distance(fam, 0.6, (1, 0.9), (0, 0.2))
-        assert a == b
-
-    def test_nonpositive_c_rejected(self):
-        with pytest.raises(NonpositiveC):
-            product_distance(interp_family(), 0.0, (0, 0.0), (1, 1.0))
-
-    def test_parameter_out_of_range(self):
-        with pytest.raises(ParameterOutOfRange):
-            product_distance(interp_family(), 1.0, (0, 0.0), (1, 1.5))
+        a = product_entry(fam, 0.6, self.GRID, (0, 0.2), (1, 0.9))
+        b = product_entry(fam, 0.6, self.GRID, (1, 0.9), (0, 0.2))
+        assert a == b == product_distance(fam, 0.6, (0, 0.2), (1, 0.9))
 
 
 class TestMonotoneCheck:
@@ -273,8 +275,6 @@ class TestBuildProduct:
         for fam in (sin_family(), interp_family()):
             with pytest.raises(NonpositiveC):
                 run_condition_checks(fam, nan, ParamGrid.uniform(3))
-        with pytest.raises(NonpositiveC):
-            product_distance(interp_family(), nan, (0, 0.0), (1, 1.0))
         ident = Correspondence(3, 3, frozenset((i, i) for i in range(3)))
         with pytest.raises(NonpositiveC):
             realize_geodesic(line_space(), line_space(), ident, c_override=nan)
@@ -287,8 +287,6 @@ class TestBuildProduct:
         for fam in (sin_family(), interp_family()):
             with pytest.raises(NonpositiveC):
                 run_condition_checks(fam, c, ParamGrid.uniform(3))
-        with pytest.raises(NonpositiveC):
-            product_distance(interp_family(), c, (0, 0.0), (1, 1.0))
         x, y = two_point_space(2.0), one_point_space()
         corr = Correspondence(2, 1, frozenset({(0, 0), (1, 0)}))
         with pytest.raises(NonpositiveC):
@@ -314,7 +312,8 @@ class TestBuildProduct:
 
     @pytest.mark.parametrize("kind", ["planar", "graph", "non-affine"])
     def test_every_entry_equals_product_distance(self, kind):
-        # product_distance is the reference for the blocked min-plus build
+        # the oracle's product_distance is the reference for the blocked
+        # min-plus build
         grid = ParamGrid((0.0, 0.1, 0.35, 0.8, 1.0))
         for seed in range(4):
             x, y = seeded_pair("graph" if kind == "graph" else "planar", seed)
