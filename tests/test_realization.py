@@ -2,6 +2,7 @@
 verification reports."""
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -32,7 +33,9 @@ from ghgeo import (
     verify_product,
 )
 
-from instances import graph_matrix, line_space, one_point_space, planar_pair, two_point_space
+from instances import (
+    graph_matrix, line_space, one_point_space, planar_matrix, planar_pair, two_point_space,
+)
 from oracles import product_distance
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -627,3 +630,62 @@ class TestGoldenProducts:
         monkeypatch.syspath_prepend(str(DATA_DIR))
         generator = importlib.import_module("generate_realization_golden")
         assert generator.render() == (DATA_DIR / "realization_golden.json").read_text()
+
+
+def near_symmetric_family():
+    """A non-affine family whose slices are symmetric only within 1e-11 and
+    carry -0.0 on the diagonal."""
+    rng = random.Random("frozen/near-symmetric")
+    base = np.array(planar_matrix(rng, 4))
+    skew = np.array([[rng.uniform(-1e-11, 1e-11) for _ in range(4)] for _ in range(4)])
+
+    def at(t):
+        m = (1.0 + t * t) * base + t * skew
+        np.fill_diagonal(m, -0.0)
+        return m
+
+    return CallableFamily(4, 0.0, 1.0, at)
+
+
+def frozen_builds() -> dict:
+    x, y = planar_pair(1200, sizes=(3,))
+    fam = RectilinearFamily.from_correspondence(gh_distance_exact(x, y).witness, x, y)
+    half = 0.5 * fam.max_abs_slope()
+    return {
+        "near_symmetric": build_product(near_symmetric_family(), 3.0, ParamGrid.uniform(6)),
+        "one_point": build_product(
+            RectilinearFamily([[0.0]], [[0.0]]), 0.7, ParamGrid((0.0, 0.3, 1.0))
+        ),
+        "two_values": build_product(fam, half, ParamGrid.uniform(2)),
+        "small_c": build_product(fam, 0.2 * half, ParamGrid.uniform(7), force=True),
+    }
+
+
+# sha256 of build_product(...).dist.tobytes() for the cases of frozen_builds,
+# recorded before the build became one min-plus product
+FROZEN_BUILD_SHA256 = {
+    "near_symmetric": "f5f076f87cdc0c300cd6e98f9b927c7b9bc508c155c8e1900cff50e3975713c5",
+    "one_point": "5d866c20cc9dbe745e6cf6b7a4e72e7ee39ef731778594735fba6b30724e5f00",
+    "two_values": "a9de8246528ba609647c83de8ce46f72a6ac1bb3b62ac936afb22db8f047787d",
+    "small_c": "9dd7d59d9d70345ca163ecb2a612d4a81b7e853a904e9ddd338b50304522ebcc",
+}
+
+
+class TestFrozenBuilds:
+    """Byte-for-byte build_product outputs that realization_golden.json does
+    not cover: slices symmetric only within tol, |Z| = 1, a two-value grid."""
+
+    def test_builds_match_frozen_digests(self):
+        digests = {
+            name: hashlib.sha256(prod.dist.tobytes()).hexdigest()
+            for name, prod in frozen_builds().items()
+        }
+        assert digests == FROZEN_BUILD_SHA256
+
+    def test_near_symmetric_slices_give_mirrored_off_diagonal_blocks(self):
+        d = frozen_builds()["near_symmetric"].dist
+        blocks = d.reshape(6, 4, 6, 4)
+        assert not np.array_equal(d, d.T)  # the diagonal blocks keep their asymmetry
+        for i in range(6):
+            for j in range(i + 1, 6):
+                assert blocks[j, :, i, :].tobytes() == blocks[i, :, j, :].T.tobytes()
