@@ -16,7 +16,6 @@ from .errors import (
     GHGeoError,
     InvalidRelation,
     MetricValidationError,
-    MixedOwners,
     NegativeEntry,
     NonFiniteEntry,
     NonSquareMatrix,
@@ -33,7 +32,6 @@ from .errors import (
 from .metric_core import (
     DEFAULT_TOL,
     FiniteMetricSpace,
-    PointSubset,
     dump_space,
     hausdorff_distance,
     load_space,

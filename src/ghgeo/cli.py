@@ -90,7 +90,6 @@ def _cmd_validate(args) -> RunResult:
 def _cmd_hausdorff(args) -> RunResult:
     a, b = _indices(args.a), _indices(args.b)
     space = load_space(args.space, args.tol)
-    a, b = space.subset(a), space.subset(b)
     return RunResult(EXIT_OK, _dumps({"value": hausdorff_distance(space, a, b)}))
 
 

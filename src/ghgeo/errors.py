@@ -62,11 +62,7 @@ class TriangleViolation(MetricValidationError):
 
 
 class EmptySubset(GHGeoError):
-    """A point subset must contain at least one index."""
-
-
-class MixedOwners(GHGeoError):
-    """The two subsets belong to different metric spaces."""
+    """A point set must contain at least one index."""
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Finite (pseudo)metric spaces, point subsets, and the Hausdorff distance.
+"""Finite (pseudo)metric spaces and the Hausdorff distance.
 
 A space is a list of labelled points together with a dense symmetric distance
-matrix.  For nonempty subsets A, B of one space the module computes
+matrix.  For nonempty sets A, B of point indices of one space the module
+computes
 
     |xA| = min{|xa| : a in A}
     |AB| = min{|ab| : a in A, b in B}
@@ -28,7 +29,6 @@ from .errors import (
     AsymmetricMatrix,
     EmptyMatrix,
     EmptySubset,
-    MixedOwners,
     NegativeEntry,
     NonFiniteEntry,
     NonSquareMatrix,
@@ -121,13 +121,11 @@ class FiniteMetricSpace:
         return self.dist.shape[0]
 
     def distance(self, i: int, j: int) -> float:
+        [i], [j] = _point_indices(self, (i,)), _point_indices(self, (j,))
         return float(self.dist[i, j])
 
     def diameter(self) -> float:
         return float(self.dist.max())
-
-    def subset(self, indices: Iterable[int]) -> "PointSubset":
-        return PointSubset(self, frozenset(int(i) for i in indices))
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,35 +135,12 @@ class FiniteMetricSpace:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class PointSubset:
-    """A nonempty set of point indices of one space."""
-
-    owner: FiniteMetricSpace
-    indices: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
-        if not self.indices:
-            raise EmptySubset("point subset is empty")
-        n = len(self.owner)
-        bad = [i for i in self.indices if i < 0 or i >= n]
-        if bad:
-            raise ValueError(f"subset indices {bad} out of range for n={n}")
-
-    def sorted_indices(self) -> list[int]:
-        return sorted(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
-# largest temporary of a blocked kernel (the triangle scan's value pass, the
-# product build), in float64 elements: 1 MiB
+# largest temporary of the triangle scan's blocked value pass, in float64
+# elements: 1 MiB
 BLOCK_ELEMENTS = 1 << 17
 
 
@@ -301,32 +276,40 @@ def validate_metric(
 # distances
 # ---------------------------------------------------------------------------
 
-def _check_owner(space: FiniteMetricSpace, *subsets: PointSubset) -> None:
-    for s in subsets:
-        if s.owner is not space:
-            raise MixedOwners("subset does not belong to the given space")
+def _point_indices(space: FiniteMetricSpace, points: Iterable) -> list[int]:
+    """The distinct indices of ``points``, sorted.  Any integer but a bool is
+    an index, numpy integers included: int() would read 1.9 and True as 1,
+    and numpy would read -1 as the last point."""
+    idx = set()
+    for i in points:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ValueError(f"point index {i!r} is not an integer")
+        idx.add(int(i))
+    if not idx:
+        raise EmptySubset("point subset is empty")
+    n = len(space)
+    idx = sorted(idx)
+    bad = [i for i in idx if not 0 <= i < n]
+    if bad:
+        raise ValueError(f"subset indices {bad} out of range for n={n}")
+    return idx
 
 
-def point_set_distance(space: FiniteMetricSpace, x: int, a: PointSubset) -> float:
+def point_set_distance(space: FiniteMetricSpace, x: int, a: Iterable[int]) -> float:
     """|xA| = min over a in A of dist[x][a]."""
-    _check_owner(space, a)
-    if x < 0 or x >= len(space):
-        raise ValueError(f"point index {x} out of range")
-    idx = a.sorted_indices()
-    return float(space.dist[x, idx].min())
+    [x] = _point_indices(space, (x,))
+    return float(space.dist[x, _point_indices(space, a)].min())
 
 
-def set_set_distance(space: FiniteMetricSpace, a: PointSubset, b: PointSubset) -> float:
+def set_set_distance(space: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]) -> float:
     """|AB| = min over a in A, b in B of dist[a][b]."""
-    _check_owner(space, a, b)
-    sub = space.dist[np.ix_(a.sorted_indices(), b.sorted_indices())]
+    sub = space.dist[np.ix_(_point_indices(space, a), _point_indices(space, b))]
     return float(sub.min())
 
 
-def hausdorff_distance(space: FiniteMetricSpace, a: PointSubset, b: PointSubset) -> float:
-    """Hausdorff distance max{max_a |aB|, max_b |Ab|} between two subsets."""
-    _check_owner(space, a, b)
-    sub = space.dist[np.ix_(a.sorted_indices(), b.sorted_indices())]
+def hausdorff_distance(space: FiniteMetricSpace, a: Iterable[int], b: Iterable[int]) -> float:
+    """Hausdorff distance max{max_a |aB|, max_b |Ab|} between two point sets."""
+    sub = space.dist[np.ix_(_point_indices(space, a), _point_indices(space, b))]
     return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
 
 
@@ -370,6 +353,13 @@ def _json_float(value) -> float:
     return float(value)
 
 
+def _json_str(value) -> str:
+    """A JSON string; str() would read 1 and null as labels "1" and "None"."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _parse_json(text: str):
     """json.loads, with nesting too deep for the parser reported as ValueError."""
     try:
@@ -397,11 +387,13 @@ def _float_array(value) -> np.ndarray:
 def space_from_json_dict(data: dict, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     what = "space JSON"
     name, points, matrix = _json_fields(data, what, ("name", "points", "matrix"))
-    labels = _json_convert(lambda v: [str(s) for s in v], points, what, "points")
+    name = _json_convert(_json_str, name, what, "name")
+    # a string or an object would iterate as labels
+    if not isinstance(points, list):
+        raise ValueError(f"{what} field 'points' must be an array, got {type(points).__name__}")
+    labels = [_json_convert(_json_str, s, what, "points") for s in points]
     matrix = _json_convert(_float_array, matrix, what, "matrix")
-    return validate_metric(
-        matrix, kind="pseudometric", tol=tol, labels=labels, name=str(name),
-    )
+    return validate_metric(matrix, kind="pseudometric", tol=tol, labels=labels, name=name)
 
 
 def space_from_text(text: str, tol: float = DEFAULT_TOL, name: str = "") -> FiniteMetricSpace:

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .geodesic import pullback_matrices
 from .metric_core import (
-    BLOCK_ELEMENTS,
     DEFAULT_TOL,
     FiniteMetricSpace,
     _check_tol,
@@ -50,6 +49,7 @@ from .metric_core import (
     _json_fields,
     _json_float,
     _json_int,
+    _json_str,
     _parse_json,
     max_triangle_deficit,
     validate_metric,
@@ -396,23 +396,27 @@ def build_product(
     if not (mono.ok and lips.ok) and not force:
         raise ConditionFailed(mono, lips)
 
+    # d[(i, a), (j, b)] = min_m rho_i[a, m] + rho_j[m, b] + c|t_i - t_j|: the
+    # min-plus product of the slices stacked as rows with the slices stacked
+    # as columns, one in-place minimum per m
     z = family.ground_size
     k = len(grid)
-    n = z * k
-    ts = np.array(grid.values)
     stacked = np.stack(slices)
-    step = max(1, BLOCK_ELEMENTS // z**3)  # blocks per broadcast
-    d = np.zeros((n, n))
-    for i in range(k):
-        for j in range(i, k, step):
-            # blocks[b - j, :, :] = min_m (rho_i[:, m] + rho_b[m, :]) + c|t_b - t_i|
-            gaps = c * np.abs(ts[j : j + step] - ts[i])
-            sums = slices[i][None, :, :, None] + stacked[j : j + step, None, :, :]
-            blocks = sums.min(axis=2) + gaps[:, None, None]
-            rows, cols = slice(i * z, (i + 1) * z), slice(j * z, (j + len(gaps)) * z)
-            # mirror first, so the diagonal block is the untransposed one
-            d[cols, rows] = blocks.transpose(0, 2, 1).reshape(-1, z)
-            d[rows, cols] = blocks.transpose(1, 0, 2).reshape(z, -1)
+    rows = stacked.reshape(k * z, z)
+    cols = stacked.transpose(1, 0, 2).reshape(z, k * z)
+    d = rows[:, :1] + cols[:1]
+    sums = np.empty_like(d)
+    for m in range(1, z):
+        np.add(rows[:, m : m + 1], cols[m : m + 1], out=sums)
+        np.minimum(d, sums, out=d)
+    ts = np.array(grid.values)
+    blocks = d.reshape(k, z, k, z)
+    blocks += (c * np.abs(ts[:, None] - ts[None, :]))[:, None, :, None]
+    # each block below the diagonal is the transpose of its mirror, as for
+    # symmetric slices, also where the slices are symmetric only within tol
+    np.copyto(sums, d.T)
+    below = np.tri(k, k, -1, dtype=bool)[:, None, :, None]
+    np.copyto(blocks, sums.reshape(k, z, k, z), where=below)
     d.setflags(write=False)
     return ProductSpace(family=family, c=float(c), grid=grid, dist=d)
 
@@ -613,7 +617,7 @@ def product_from_json_dict(data: dict) -> ProductSpace:
         zi, t, label = _json_fields(p, where_p, ("z", "t", "label"))
         zi = _json_convert(_json_int, zi, where_p, "z")
         t = _json_convert(_json_float, t, where_p, "t")
-        label = str(label)
+        label = _json_convert(_json_str, label, where_p, "label")
         if not 0 <= zi < z:
             raise ValueError(f"point z index {zi} out of range")
         if t not in pos_of:
@@ -626,8 +630,6 @@ def product_from_json_dict(data: dict) -> ProductSpace:
             labels[zi] = label
         elif labels[zi] != label:
             raise ValueError(f"inconsistent labels for ground point {zi}")
-    if len(where) != n:
-        raise ValueError("points do not cover the full Z x grid product")
 
     perm = [where[(zz, pos)] for pos in range(k) for zz in range(z)]
     d = mat[np.ix_(perm, perm)]
@@ -641,7 +643,7 @@ def product_from_json_dict(data: dict) -> ProductSpace:
         i = pos_of[t]
         return d[i * z : (i + 1) * z, i * z : (i + 1) * z]
 
-    family = CallableFamily(z, grid.a, grid.b, sampled, [str(s) for s in labels])
+    family = CallableFamily(z, grid.a, grid.b, sampled, labels)
     return ProductSpace(family=family, c=c, grid=grid, dist=d)
 
 

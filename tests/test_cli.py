@@ -29,6 +29,7 @@ from ghgeo.cli import (
 from instances import planar_space
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+README = BENCH_DIR.parent / "README.md"
 
 
 @pytest.fixture
@@ -96,6 +97,19 @@ class TestHausdorffCommand:
         f.write_text("0 1 2\n1 0 1\n2 1 0\n")
         res = run(["hausdorff", str(f), "--a", "0", "--b", "9"])
         assert res.exit_code == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("b, error, message", [
+        ("9", "ValueError", "subset indices [9] out of range for n=3"),
+        ("-1", "ValueError", "subset indices [-1] out of range for n=3"),
+        (",", "EmptySubset", "point subset is empty"),
+        ("1.5", "ValueError", "invalid literal for int() with base 10: '1.5'"),
+    ])
+    def test_bad_indices_error_payload(self, tmp_path, b, error, message):
+        f = tmp_path / "line.txt"
+        f.write_text("0 1 2\n1 0 1\n2 1 0\n")
+        res = run(["hausdorff", str(f), "--a", "0", f"--b={b}"])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        assert json.loads(res.output) == {"error": error, "message": message}
 
 
 class TestDistCommand:
@@ -427,6 +441,40 @@ class TestMalformedFiles:
         assert payload["error"] == "ValueError"
         assert f"'{field}'" in payload["message"]
 
+    @pytest.mark.parametrize("field, space", [
+        ("points", {"name": "X", "points": "ab", "matrix": [[0, 1], [1, 0]]}),
+        ("points", {"name": "X", "points": {"a": 0, "b": 1}, "matrix": [[0, 1], [1, 0]]}),
+        ("points", {"name": "X", "points": [1, None], "matrix": [[0, 1], [1, 0]]}),
+        ("points", {"name": "X", "points": ["a", ["b"]], "matrix": [[0, 1], [1, 0]]}),
+        ("name", {"name": 7, "points": ["a", "b"], "matrix": [[0, 1], [1, 0]]}),
+        ("name", {"name": None, "points": ["a", "b"], "matrix": [[0, 1], [1, 0]]}),
+    ])
+    def test_space_string_fields_must_be_json_strings(self, tmp_path, field, space):
+        # str() read "ab" as labels a and b, and [1, null] as "1" and "None": exit 0
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(space))
+        res = run(["validate", str(f)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        payload = json.loads(res.output)
+        assert payload["error"] == "ValueError"
+        assert f"'{field}'" in payload["message"]
+
+    @pytest.mark.parametrize("label", [7, None, ["a"], True])
+    def test_product_point_label_must_be_a_json_string(self, space_files, tmp_path, label):
+        x, y = space_files
+        out = tmp_path / "prod.json"
+        assert run(["realize", x, y, "-o", str(out)]).exit_code == EXIT_OK
+        data = json.loads(out.read_text())
+        for p in data["product"]["points"]:
+            if p["z"] == 0:
+                p["label"] = label
+        out.write_text(json.dumps(data))
+        res = run(["verify", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        payload = json.loads(res.output)
+        assert payload["error"] == "ValueError"
+        assert "'label'" in payload["message"]
+
     @pytest.mark.parametrize("z", [0.7, True, 1.0])
     def test_product_point_index_must_be_an_integer(self, space_files, tmp_path, z):
         x, y = space_files
@@ -592,3 +640,12 @@ class TestBenchmarkContract:
             assert sliced
         finally:
             files.cleanup()
+
+
+class TestReadme:
+    def test_library_quick_start_runs(self):
+        # a public name removed from the code but left in the README fails here
+        section = README.read_text().split("## Library quick start", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert "hausdorff_distance(X, [0], [1])" in block
+        exec(compile(block, str(README), "exec"), {})

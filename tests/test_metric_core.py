@@ -17,7 +17,6 @@ from ghgeo import (
     EmptyMatrix,
     EmptySubset,
     FiniteMetricSpace,
-    MixedOwners,
     NegativeEntry,
     NonFiniteEntry,
     NonSquareMatrix,
@@ -287,58 +286,84 @@ class TestTrustedConstruction:
 class TestPointAndSetDistances:
     def test_member_gives_zero(self):
         space = line_space()
-        assert point_set_distance(space, 1, space.subset({0, 1})) == 0.0
+        assert point_set_distance(space, 1, {0, 1}) == 0.0
 
     def test_singleton_subset(self):
         space = line_space()
-        assert point_set_distance(space, 0, space.subset({2})) == 2.0
+        assert point_set_distance(space, 0, {2}) == 2.0
 
     def test_min_over_two_points(self):
         space = line_space()
-        assert point_set_distance(space, 0, space.subset({1, 2})) == 1.0
+        assert point_set_distance(space, 0, {1, 2}) == 1.0
 
     def test_set_set_overlapping(self):
         space = line_space()
-        assert set_set_distance(space, space.subset({0, 1}), space.subset({1, 2})) == 0.0
+        assert set_set_distance(space, {0, 1}, {1, 2}) == 0.0
 
     def test_set_set_singletons(self):
         space = line_space()
-        assert set_set_distance(space, space.subset({0}), space.subset({2})) == 2.0
+        assert set_set_distance(space, {0}, {2}) == 2.0
 
     def test_set_set_min(self):
         space = line_space()
-        assert set_set_distance(space, space.subset({0, 1}), space.subset({2})) == 1.0
+        assert set_set_distance(space, {0, 1}, {2}) == 1.0
 
     def test_empty_subset_rejected(self):
         space = line_space()
         with pytest.raises(EmptySubset):
-            space.subset(set())
+            hausdorff_distance(space, set(), {0})
 
     def test_out_of_range_subset_rejected(self):
         space = line_space()
         with pytest.raises(ValueError):
-            space.subset({0, 7})
+            hausdorff_distance(space, {0, 7}, {0})
+
+    @pytest.mark.parametrize("bad", [1.9, True, "2", np.float64(2.0), -1])
+    def test_only_integers_in_range_are_indices(self, bad):
+        # int() read 1.9 as point 1, numpy read -1 as the last point, and
+        # True or 1.5 as a point leaked raw numpy errors
+        space = line_space()
+        calls = [
+            lambda: point_set_distance(space, bad, {0}),
+            lambda: point_set_distance(space, 0, [bad]),
+            lambda: set_set_distance(space, [bad], {0}),
+            lambda: set_set_distance(space, {0}, [bad]),
+            lambda: hausdorff_distance(space, [bad], {0}),
+            lambda: hausdorff_distance(space, {0}, [0, bad]),
+            lambda: space.distance(bad, 0),
+            lambda: space.distance(0, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
+    def test_numpy_integers_and_duplicates_accepted(self):
+        space = line_space()
+        two = np.int64(2)
+        assert space.distance(two, np.int32(0)) == 2.0
+        assert point_set_distance(space, two, np.array([0, 1])) == 1.0
+        assert set_set_distance(space, [two, two], range(2)) == 1.0
+        assert hausdorff_distance(space, (two, 0, 0), [0]) == 2.0
+
+    def test_out_of_range_message_lists_indices_in_order(self):
+        space = line_space()
+        with pytest.raises(ValueError, match=r"^subset indices \[-3, 5, 9\] out of range for n=3$"):
+            hausdorff_distance(space, {0}, (5, 9, -3, 1))
 
 
 class TestHausdorff:
     def test_equal_subsets(self):
         space = line_space()
-        a = space.subset({0, 2})
+        a = {0, 2}
         assert hausdorff_distance(space, a, a) == 0.0
 
     def test_point_against_pair(self):
         space = line_space()
-        assert hausdorff_distance(space, space.subset({0}), space.subset({0, 2})) == 2.0
+        assert hausdorff_distance(space, {0}, {0, 2}) == 2.0
 
     def test_singletons(self):
         space = line_space()
-        assert hausdorff_distance(space, space.subset({0}), space.subset({2})) == 2.0
-
-    def test_mixed_owners_rejected(self):
-        a = line_space()
-        b = line_space()
-        with pytest.raises(MixedOwners):
-            hausdorff_distance(a, a.subset({0}), b.subset({0}))
+        assert hausdorff_distance(space, {0}, {2}) == 2.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
@@ -348,13 +373,13 @@ class TestHausdorff:
         space = planar_space(seed, n)
         a = set(rng.sample(range(n), rng.randint(1, n)))
         b = set(rng.sample(range(n), rng.randint(1, n)))
-        got = hausdorff_distance(space, space.subset(a), space.subset(b))
+        got = hausdorff_distance(space, a, b)
         dist = space.dist.tolist()
         assert got == naive_hausdorff(dist, sorted(a), sorted(b))
-        assert point_set_distance(space, 0, space.subset(b)) == naive_point_set_distance(
+        assert point_set_distance(space, 0, b) == naive_point_set_distance(
             dist, 0, sorted(b)
         )
-        assert set_set_distance(space, space.subset(a), space.subset(b)) == (
+        assert set_set_distance(space, a, b) == (
             naive_set_set_distance(dist, sorted(a), sorted(b))
         )
 
@@ -364,8 +389,8 @@ class TestHausdorff:
         rng = random.Random(seed)
         n = rng.randint(2, 7)
         space = planar_space(seed, n)
-        a = space.subset(set(rng.sample(range(n), rng.randint(1, n))))
-        b = space.subset(set(rng.sample(range(n), rng.randint(1, n))))
+        a = set(rng.sample(range(n), rng.randint(1, n)))
+        b = set(rng.sample(range(n), rng.randint(1, n)))
         assert hausdorff_distance(space, a, b) >= set_set_distance(space, a, b)
 
     @given(st.integers(0, 10_000))
@@ -375,13 +400,13 @@ class TestHausdorff:
         n = rng.randint(2, 6)
         space = planar_space(seed, n)
         subsets = [
-            space.subset(set(rng.sample(range(n), rng.randint(1, n)))) for _ in range(3)
+            set(rng.sample(range(n), rng.randint(1, n))) for _ in range(3)
         ]
         a, b, c = subsets
         # symmetry
         assert hausdorff_distance(space, a, b) == hausdorff_distance(space, b, a)
         # identity of indiscernibles (kind=metric, so equal iff same index set)
-        assert (hausdorff_distance(space, a, b) == 0.0) == (a.indices == b.indices)
+        assert (hausdorff_distance(space, a, b) == 0.0) == (a == b)
         # triangle inequality
         assert hausdorff_distance(space, a, c) <= (
             hausdorff_distance(space, a, b) + hausdorff_distance(space, b, c) + 1e-9
