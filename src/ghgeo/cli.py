@@ -6,7 +6,7 @@ Exit codes:
     2  input or validation error
     3  exhaustive-search cap exceeded
 
-All payloads are JSON.  Floats are serialized with the shortest
+All payloads are strict JSON.  Floats are serialized with the shortest
 representation that round-trips exactly, so saved products re-verify
 bit-for-bit, and identical inputs plus seed produce byte-identical output.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +57,8 @@ class RunResult:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    # a number that overflowed to inf raises ValueError, exit 2, not Infinity
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _error_payload(exc: Exception) -> str:
@@ -88,7 +90,7 @@ def _cmd_validate(args) -> RunResult:
 
 
 def _cmd_hausdorff(args) -> RunResult:
-    a, b = _indices(args.a), _indices(args.b)
+    a, b = _indices(args.a, "--a"), _indices(args.b, "--b")
     space = load_space(args.space, args.tol)
     return RunResult(EXIT_OK, _dumps({"value": hausdorff_distance(space, a, b)}))
 
@@ -138,8 +140,13 @@ def _cmd_verify(args) -> RunResult:
     return RunResult(code, _dumps(report.to_json_dict()))
 
 
-def _indices(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+def _indices(text: str, option: str) -> tuple[int, ...]:
+    """Comma-separated integers, blank parts skipped; int() reads "0_2" and " +2"."""
+    parts = [part.strip(" \t\n\r\f\v") for part in text.split(",")]
+    bad = [part for part in parts if not re.fullmatch("(-?[0-9]+)?", part)]
+    if bad:
+        raise ValueError(f"{option}: {bad[0]!r} is not an integer")
+    return tuple(int(part) for part in parts if part)
 
 
 def build_parser() -> argparse.ArgumentParser:

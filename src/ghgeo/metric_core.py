@@ -42,22 +42,30 @@ Kind = Literal["metric", "pseudometric"]
 DEFAULT_TOL = 1e-9
 
 
-def _check_form(d: np.ndarray, tol: float) -> bool:
-    """Raise unless the square matrix ``d`` is nonempty, finite, and symmetric,
-    nonnegative and zero on the diagonal within ``tol``, naming the worst
-    entry.  Returns whether ``d`` is exactly in that form, the normal form
-    every space holds."""
+def _finite_square(d: np.ndarray) -> np.ndarray:
+    """``d``, once checked to be a nonempty square matrix of finite entries,
+    as every matrix the library holds is; names the first non-finite one."""
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise NonSquareMatrix(f"expected a square matrix, got shape {d.shape}")
     if d.size == 0:
         raise EmptyMatrix("distance matrix is empty (0 x 0)")
-    # min and max propagate a NaN, so both are finite exactly when every entry is
-    low, high = float(d.min()), float(d.max())
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise NonFiniteEntry("matrix contains NaN or infinite entries")
+    finite = np.isfinite(d)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonFiniteEntry(f"d[{i}][{j}] = {float(d[i, j])!r} is not finite")
+    return d
+
+
+def _check_form(d: np.ndarray, tol: float) -> bool:
+    """Raise unless the finite square ``d`` is symmetric, nonnegative and zero
+    on the diagonal within ``tol``, naming the worst entry.  Returns whether
+    ``d`` is exactly in that form, the normal form every space holds."""
     asym = np.abs(d - d.T)
     worst = float(asym.max())
     if worst > tol:
         i, j = np.unravel_index(int(np.argmax(asym)), d.shape)
         raise AsymmetricMatrix(f"d[{i}][{j}] = {d[i, j]!r} but d[{j}][{i}] = {d[j, i]!r}")
+    low = float(d.min())
     if low < -tol:
         i, j = np.unravel_index(int(np.argmin(d)), d.shape)
         raise NegativeEntry(f"d[{i}][{j}] = {d[i, j]!r} is negative")
@@ -69,9 +77,15 @@ def _check_form(d: np.ndarray, tol: float) -> bool:
     return worst == 0.0 and low >= 0.0 and worst_diag == 0.0
 
 
-def _check_labels(labels: Sequence[str], d: np.ndarray) -> None:
-    if d.shape[0] != len(labels):
-        raise ValueError(f"{len(labels)} labels for a {d.shape[0]}-point matrix")
+def _labels(labels: Iterable | None, n: int, prefix: str) -> tuple[str, ...]:
+    """One string label per point, ``prefix`` and the index by default, by
+    the file loaders' rule: no str(), which would read 1 as the label "1"."""
+    if labels is None:
+        return tuple(f"{prefix}{i}" for i in range(n))
+    labels = tuple(map(_json_str, labels))
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} points")
+    return labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +105,8 @@ class FiniteMetricSpace:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        arr = np.array(self.dist, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NonSquareMatrix(f"distance matrix has shape {arr.shape}")
-        _check_labels(self.labels, arr)
+        arr = _finite_square(np.array(self.dist, dtype=float))
+        object.__setattr__(self, "labels", _labels(self.labels, arr.shape[0], "p"))
         _check_form(arr, 0.0)
         self._freeze(arr)
 
@@ -144,12 +155,13 @@ class FiniteMetricSpace:
 BLOCK_ELEMENTS = 1 << 17
 
 
+@np.errstate(over="ignore")
 def _min_plus_deficit(
     d: np.ndarray, above: float = -math.inf
 ) -> tuple[float, tuple[int, int, int] | None]:
     """The worst triangle deficit of a finite matrix and, unless it is below
     ``above``, the first triple (i, j, k) attaining it, in the order k
-    ascending, then i * n + j.
+    ascending, then i * n + j.  Sums beyond the float range read as infinities.
 
     max_{i,j} (d[i][j] - min_k (d[i][k] + d[k][j])) is the worst deficit
     over all triples: the min-plus product holds one of the very sums the
@@ -191,34 +203,16 @@ def _min_plus_deficit(
 
 
 def max_triangle_deficit(matrix) -> tuple[float, tuple[int, int, int]]:
-    """Worst triangle deficit max_{i,j,k} (d[i][j] - d[i][k] - d[k][j]).
+    """Worst triangle deficit max_{i,j,k} (d[i][j] - d[i][k] - d[k][j]) of a
+    nonempty square matrix of finite entries.
 
     Returns the deficit and the first triple (i, j, k) attaining it, in the
-    order k ascending, then i * n + j.  The value is >= 0 for any matrix with
-    zero diagonal (degenerate triples give exactly zero) and exceeds zero
-    only on genuine violations.  A NaN entry makes the deficit NaN, with the
-    first triple that meets one.
-
-    A finite matrix costs one min-plus pass, which also finds the witness.
-    Non-finite matrices take a scan over every k.
+    order k ascending, then i * n + j, from one min-plus pass.  The value is
+    >= 0 for any matrix with zero diagonal (degenerate triples give exactly
+    zero) and exceeds zero only on genuine violations.  Any other matrix
+    raises NonSquareMatrix, EmptyMatrix or NonFiniteEntry.
     """
-    d = np.asarray(matrix, dtype=float)
-    n = d.shape[0]
-    with np.errstate(invalid="ignore", over="ignore"):
-        if n and np.isfinite(d).all():
-            return _min_plus_deficit(d)
-        worst = -math.inf
-        witness = (0, 0, 0)
-        for k in range(n):
-            v = d - (d[:, k : k + 1] + d[k : k + 1, :])
-            flat = int(np.argmax(v))
-            m = float(v.flat[flat])
-            if math.isnan(m):  # argmax stops at the first NaN
-                return m, (flat // n, flat % n, k)
-            if m > worst:
-                worst = m
-                witness = (flat // n, flat % n, k)
-    return worst, witness
+    return _min_plus_deficit(_finite_square(np.asarray(matrix, dtype=float)))
 
 
 def _check_tol(tol: float) -> None:
@@ -242,13 +236,10 @@ def validate_metric(
     space reports the strictest kind that holds.
     """
     _check_tol(tol)
-    d = np.array(matrix, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise NonSquareMatrix(f"expected a square matrix, got shape {d.shape}")
+    d = _finite_square(np.array(matrix, dtype=float))
+    labels = _labels(labels, len(d), "p")
     exact = _check_form(d, tol)
-    n = d.shape[0]
-    with np.errstate(invalid="ignore", over="ignore"):
-        deficit, witness = _min_plus_deficit(d, above=tol)
+    deficit, witness = _min_plus_deficit(d, above=tol)
     if deficit > tol:
         raise TriangleViolation(*witness, deficit)
 
@@ -260,11 +251,9 @@ def validate_metric(
         np.maximum(normal, 0.0, out=normal)
         np.fill_diagonal(normal, 0.0)
 
-    labels = tuple(f"p{i}" for i in range(n)) if labels is None else tuple(str(s) for s in labels)
-    _check_labels(labels, normal)
     space = FiniteMetricSpace._trusted(labels, normal, name)
     if kind == "metric" and space.kind != "metric":
-        mask = (normal <= 0.0) & ~np.eye(n, dtype=bool)
+        mask = (normal <= 0.0) & ~np.eye(len(d), dtype=bool)
         i, j = np.argwhere(mask)[0]
         raise ZeroOffDiagonal(
             f"distinct points {i} and {j} at distance {d[i, j]!r}"
@@ -356,7 +345,7 @@ def _json_float(value) -> float:
 def _json_str(value) -> str:
     """A JSON string; str() would read 1 and null as labels "1" and "None"."""
     if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
+        raise ValueError(f"expected a string, got {value!r}")
     return value
 
 

@@ -36,6 +36,7 @@ from .correspondence import Correspondence
 from .errors import (
     ConditionFailed,
     DegenerateGeodesic,
+    NonFiniteEntry,
     NonpositiveC,
     ParameterOutOfRange,
 )
@@ -44,12 +45,14 @@ from .metric_core import (
     DEFAULT_TOL,
     FiniteMetricSpace,
     _check_tol,
+    _finite_square,
     _float_array,
     _json_convert,
     _json_fields,
     _json_float,
     _json_int,
     _json_str,
+    _labels,
     _parse_json,
     max_triangle_deficit,
     validate_metric,
@@ -76,9 +79,7 @@ class InterpolationFamily:
             raise ValueError("ground set must be nonempty")
         if not a < b:
             raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
-        labels = tuple(labels if labels is not None else (f"z{i}" for i in range(ground_size)))
-        if len(labels) != ground_size:
-            raise ValueError("one label per ground point required")
+        labels = _labels(labels, ground_size, "z")
         vars(self).update(a=float(a), b=float(b), ground_size=int(ground_size), labels=labels)
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -261,7 +262,8 @@ def run_condition_checks(
     The Lipschitz deficit is | |zz'|_t - |zz'|_s | - 2c|t - s|.  Every
     pairwise distance of an affine family is affine in t, so the same pass on
     the segment's endpoints (a, b) decides both conditions exactly; it runs
-    at tol = 0 and is labelled "closed_form".  A NaN stays NaN.
+    at tol = 0 and is labelled "closed_form".  A non-finite slice raises
+    NonFiniteEntry.
     """
     _check_c(c)
     if isinstance(family, RectilinearFamily):
@@ -270,7 +272,7 @@ def run_condition_checks(
         ts, method = grid.values, "grid"
     tv = np.array(ts)
     k = len(ts)
-    f = np.stack([family.dist_at(t) for t in ts])
+    f = np.stack([_finite_square(family.dist_at(t)) for t in ts])
     drop = np.zeros(f.shape[1:])
     rise = np.zeros(f.shape[1:])
     raw = -math.inf
@@ -286,14 +288,14 @@ def run_condition_checks(
         deficit = g - (2.0 * c * dt)[:, None, None]
         flat = int(np.argmax(deficit))  # first in (b, z1, z2) order
         m = float(deficit.flat[flat])
-        if m > raw or math.isnan(m):  # once NaN, raw stays NaN
+        if m > raw:
             raw = m
             b, z1, z2 = np.unravel_index(flat, deficit.shape)
             at = (int(z1), int(z2), a, a + 1 + int(b))
 
     viol = np.minimum(drop, rise)
     worst = float(viol.max())
-    if worst <= 0.0:  # a NaN stays NaN
+    if worst <= 0.0:
         worst = 0.0
     witness = None
     if worst > 0.0:
@@ -301,7 +303,7 @@ def run_condition_checks(
         z1, z2 = int(z1), int(z2)
         g = f[:, z1, z2]
         v = g[:, None] - g[None, :]  # v[a, b] = f[a] - f[b], read for a < b
-        if not drop[z1, z2] <= rise[z1, z2]:
+        if drop[z1, z2] > rise[z1, z2]:
             v = -v
         v[np.tril_indices(k)] = -math.inf
         a, b = np.unravel_index(int(np.argmax(v)), v.shape)
@@ -314,7 +316,7 @@ def run_condition_checks(
         if f[a, z1, z2] < f[b, z1, z2]:
             a, b = b, a
         witness = ConditionWitness(z1, z2, ts[a], ts[b])
-    worst = 0.0 if raw <= 0.0 else raw  # a NaN stays NaN
+    worst = 0.0 if raw <= 0.0 else raw
     lips = ConditionCheck(
         "lipschitz", method, raw <= tol, worst, witness, tol, float(np.max(slopes))
     )
@@ -376,7 +378,8 @@ def build_product(
 ) -> ProductSpace:
     """Materialize the full product distance matrix over Z x grid.
 
-    Each slice of the family is validated as a pseudometric first.  The two
+    Each slice of the family is validated as a pseudometric first; a product
+    whose entries could overflow raises NonFiniteEntry.  The two
     sufficient conditions are checked (closed-form for affine families) and
     failure raises ConditionFailed unless ``force`` is set, in which case the
     product is built anyway and verification will report the violations.
@@ -388,9 +391,12 @@ def build_product(
             f"grid spans [{grid.a}, {grid.b}] but the family is defined on "
             f"[{family.a}, {family.b}]"
         )
-    slices = [np.asarray(family.dist_at(t), dtype=float) for t in grid.values]
-    for t, mat in zip(grid.values, slices):
+    stacked = np.stack([np.asarray(family.dist_at(t), dtype=float) for t in grid.values])
+    for t, mat in zip(grid.values, stacked):
         validate_metric(mat, kind="pseudometric", tol=tol, name=f"slice(t={t})")
+    top = float(stacked.max())  # 2 * top + c * (b - a) bounds every sum below
+    if not math.isfinite(2.0 * top + float(c) * (grid.b - grid.a)):
+        raise NonFiniteEntry(f"product entries overflow for slice entry {top!r} and c = {c!r}")
 
     mono, lips = run_condition_checks(family, c, grid, tol)
     if not (mono.ok and lips.ok) and not force:
@@ -401,7 +407,6 @@ def build_product(
     # as columns, one in-place minimum per m
     z = family.ground_size
     k = len(grid)
-    stacked = np.stack(slices)
     rows = stacked.reshape(k * z, z)
     cols = stacked.transpose(1, 0, 2).reshape(z, k * z)
     d = rows[:, :1] + cols[:1]
@@ -486,7 +491,7 @@ def verify_product(prod: ProductSpace, tol: float = DEFAULT_TOL) -> Verification
     Scans all point triples for triangle violations, compares slice-to-slice
     Hausdorff and minimum distances against c|t - s|, and checks the
     restriction and vertical-fiber identities.  Never raises on failures;
-    everything is reported.
+    everything is reported.  A non-finite entry raises NonFiniteEntry.
     """
     _check_tol(tol)
     d = prod.dist
@@ -495,35 +500,31 @@ def verify_product(prod: ProductSpace, tol: float = DEFAULT_TOL) -> Verification
     k = len(ts)
     c = prod.c
 
-    # every fold below goes through numpy, so a NaN error is reported as NaN;
-    # numpy's warnings about it would only repeat the report
-    with np.errstate(invalid="ignore"):
-        mono, lips = run_condition_checks(prod.family, c, prod.grid, tol)
+    mono, lips = run_condition_checks(prod.family, c, prod.grid, tol)
 
-        tri, tri_wit = max_triangle_deficit(d)
-        tri = float(np.maximum(tri, 0.0))
+    tri, tri_wit = max_triangle_deficit(d)
+    tri = float(np.maximum(tri, 0.0))
 
-        sym = float(np.abs(d - d.T).max())
-        diag = float(np.abs(np.diag(d)).max())
+    sym = float(np.abs(d - d.T).max())
+    diag = float(np.abs(np.diag(d)).max())
 
-        restr = float(np.max([
-            np.abs(prod.slice_matrix(i) - prod.family.dist_at(ts[i])).max() for i in range(k)
-        ]))
+    restr = float(np.max([
+        np.abs(prod.slice_matrix(i) - prod.family.dist_at(ts[i])).max() for i in range(k)
+    ]))
 
-        # blocks[i, a, j, b] is the distance from (a, t_i) to (b, t_j); only
-        # the blocks with i <= j are read
-        blocks = d.reshape(k, z, k, z)
-        upper = np.triu(np.ones((k, k), dtype=bool))
-        t = np.array(ts)
-        target = (c * np.abs(t[None, :] - t[:, None]))[upper]
-        fiber = np.abs(blocks.diagonal(axis1=1, axis2=3)[upper] - target[:, None])
-        # row_min[i, a, j]: distance from (a, t_i) to slice t_j.  A NaN in a
-        # block makes both directed readings NaN, and so its dh
-        row_min = blocks.min(axis=3)
-        dh = np.maximum(row_min.max(axis=1), blocks.min(axis=1).max(axis=2))
-        dh_err = np.abs(dh[upper] - target)
-        md_err = np.abs(row_min.min(axis=1)[upper] - target)
-        fiber, dh_err, md_err = (float(errs.max()) for errs in (fiber, dh_err, md_err))
+    # blocks[i, a, j, b] is the distance from (a, t_i) to (b, t_j); only
+    # the blocks with i <= j are read
+    blocks = d.reshape(k, z, k, z)
+    upper = np.triu(np.ones((k, k), dtype=bool))
+    t = np.array(ts)
+    target = (c * np.abs(t[None, :] - t[:, None]))[upper]
+    fiber = np.abs(blocks.diagonal(axis1=1, axis2=3)[upper] - target[:, None])
+    # row_min[i, a, j]: distance from (a, t_i) to slice t_j
+    row_min = blocks.min(axis=3)
+    dh = np.maximum(row_min.max(axis=1), blocks.min(axis=1).max(axis=2))
+    dh_err = np.abs(dh[upper] - target)
+    md_err = np.abs(row_min.min(axis=1)[upper] - target)
+    fiber, dh_err, md_err = (float(errs.max()) for errs in (fiber, dh_err, md_err))
 
     return VerificationReport(
         monotone=mono,
@@ -590,7 +591,8 @@ def product_from_json_dict(data: dict) -> ProductSpace:
 
     The family is reconstructed from the slice submatrices (it is only known
     at the grid values), points are permuted into canonical slice-major
-    order, and nothing is verified here; run verify_product afterwards.
+    order, and nothing is verified here but finiteness (NonFiniteEntry); run
+    verify_product afterwards.
     """
     if isinstance(data, dict) and "product" in data:
         data = data["product"]
@@ -604,6 +606,7 @@ def product_from_json_dict(data: dict) -> ProductSpace:
     n = len(pts)
     if mat.shape != (n, n):
         raise ValueError(f"matrix shape {mat.shape} does not match {n} points")
+    _finite_square(mat)
     k = len(grid)
     if n % k != 0:
         raise ValueError(f"{n} points cannot split into {k} equal slices")

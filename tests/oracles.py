@@ -32,8 +32,7 @@ def naive_hausdorff(dist, a, b) -> float:
 def naive_triangle_witness(dist) -> tuple[float, tuple[int, int, int]]:
     """Largest d[i][j] - (d[i][k] + d[k][j]) and the first triple attaining it.
 
-    Triples are visited k ascending, then i, then j; a NaN deficit ends the
-    scan at once and is returned with its triple.
+    Triples are visited k ascending, then i, then j.
     """
     n = len(dist)
     worst = -math.inf
@@ -42,8 +41,6 @@ def naive_triangle_witness(dist) -> tuple[float, tuple[int, int, int]]:
         for i in range(n):
             for j in range(n):
                 v = dist[i][j] - (dist[i][k] + dist[k][j])
-                if math.isnan(v):
-                    return v, (i, j, k)
                 if v > worst:
                     worst = v
                     witness = (i, j, k)

@@ -3,6 +3,9 @@
 import copy
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,7 +105,12 @@ class TestHausdorffCommand:
         ("9", "ValueError", "subset indices [9] out of range for n=3"),
         ("-1", "ValueError", "subset indices [-1] out of range for n=3"),
         (",", "EmptySubset", "point subset is empty"),
-        ("1.5", "ValueError", "invalid literal for int() with base 10: '1.5'"),
+        # int() read each of the next four but 1.5 and 1.0 as the point 2
+        ("1.5", "ValueError", "--b: '1.5' is not an integer"),
+        ("1.0", "ValueError", "--b: '1.0' is not an integer"),
+        ("0_2", "ValueError", "--b: '0_2' is not an integer"),
+        (" +2", "ValueError", "--b: '+2' is not an integer"),
+        ("\u0662", "ValueError", "--b: '\u0662' is not an integer"),
     ])
     def test_bad_indices_error_payload(self, tmp_path, b, error, message):
         f = tmp_path / "line.txt"
@@ -110,6 +118,14 @@ class TestHausdorffCommand:
         res = run(["hausdorff", str(f), "--a", "0", f"--b={b}"])
         assert res.exit_code == EXIT_INPUT_ERROR
         assert json.loads(res.output) == {"error": error, "message": message}
+
+    @pytest.mark.parametrize("b", ["0,,2", " 2", "2 ,0"])
+    def test_blank_parts_and_spaces_are_skipped(self, tmp_path, b):
+        f = tmp_path / "line.txt"
+        f.write_text("0 1 2\n1 0 1\n2 1 0\n")
+        res = run(["hausdorff", str(f), "--a", "0", f"--b={b}"])
+        assert res.exit_code == EXIT_OK
+        assert json.loads(res.output) == {"value": 2.0}
 
 
 class TestDistCommand:
@@ -301,10 +317,20 @@ class TestMainEntry:
         assert json.loads(capsys.readouterr().out)["value"] == 0.5
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads without the NaN, Infinity and -Infinity tokens it accepts."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def assert_contract(res):
-    """Exit code in {0, 1, 2, 3}, JSON on stdout, exit 1 only for a failed report."""
+    """Exit code in {0, 1, 2, 3}, strict JSON on stdout, exit 1 only for a
+    failed report."""
     assert res.exit_code in (EXIT_OK, EXIT_VERIFICATION_FAILED, EXIT_INPUT_ERROR, EXIT_SEARCH_CAP)
-    payload = json.loads(res.output)
+    payload = strict_json(res.output)
     if res.exit_code == EXIT_VERIFICATION_FAILED:
         assert payload.get("report", payload)["passed"] is False
 
@@ -564,6 +590,54 @@ def contract_files(tmp_path_factory):
         "corr": {"m": 2, "n": 2, "pairs": [[0, 1], [1, 0]]},
         "product": json.loads(prod.read_text()),
     }
+
+
+class TestStrictJson:
+    """No stdout holds NaN or Infinity, which strict JSON parsers reject."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_verify_rejects_non_finite_matrix(self, space_files, tmp_path, value):
+        # such a file used to exit 1 with NaN or Infinity in its report
+        x, y = space_files
+        out = tmp_path / "prod.json"
+        assert run(["realize", x, y, "--grid", "3", "-o", str(out)]).exit_code == EXIT_OK
+        data = json.loads(out.read_text())
+        data["product"]["matrix"][0][3] = value
+        out.write_text(json.dumps(data))
+        res = run(["verify", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        assert strict_json(res.output)["error"] == "NonFiniteEntry"
+
+    def test_realize_refuses_overflowing_c(self, tmp_path):
+        # 2 * 1e307 + 1.7e308 overflows: realize warned, exited 1 and wrote
+        # Infinity into the product file
+        y = tmp_path / "Y.json"
+        y.write_text(json.dumps({"name": "Y", "points": ["u", "v"],
+                                 "matrix": [[0, 1e307], [1e307, 0]]}))
+        out = tmp_path / "out.json"
+        res = run(["realize", str(y), str(y), "--c", "1.7e308", "--grid", "3", "-o", str(out)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        assert strict_json(res.output)["error"] == "NonFiniteEntry"
+        assert not out.exists()
+
+    def test_overflowing_report_number_exits_2(self, tmp_path):
+        # symmetry_error = |1e308 - (-1e308)| overflows.  numpy warns of the
+        # overflow, which the suite turns into an error, so this runs in a
+        # separate interpreter
+        prod = tmp_path / "prod.json"
+        prod.write_text(json.dumps({
+            "c": 1.0, "grid": [0.0, 1.0],
+            "points": [{"z": 0, "label": "a", "t": 0.0}, {"z": 0, "label": "a", "t": 1.0}],
+            "matrix": [[0.0, 1e308], [-1e308, 0.0]],
+        }))
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghgeo.cli", "verify", str(prod)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_INPUT_ERROR
+        assert strict_json(proc.stdout)["error"] == "ValueError"
 
 
 class TestContractProperty:

@@ -253,8 +253,9 @@ class TestTrustedConstruction:
     @settings(max_examples=100, deadline=None)
     @given(matrix=accepted_matrices())
     def test_validated_space(self, matrix):
-        space = validate_metric(matrix, labels=range(len(matrix)), name="X")
-        assert space.labels == tuple(str(i) for i in range(len(matrix)))
+        labels = [str(i) for i in range(len(matrix))]
+        space = validate_metric(matrix, labels=labels, name="X")
+        assert space.labels == tuple(labels)
         self.assert_unchanged_by_public_constructor(space)
 
     @settings(max_examples=40, deadline=None)
@@ -281,6 +282,20 @@ class TestTrustedConstruction:
         assert calls == [1e-9, 0.0]
         FiniteMetricSpace(x.labels, x.dist)
         assert calls == [1e-9, 0.0, 0.0]
+
+
+class TestLabels:
+    """Labels are strings: str() stored 1 and None as "1" and "None", labels
+    a space file cannot hold."""
+
+    @pytest.mark.parametrize("labels, bad", [([1, None], "1"), (["a", None], "None")])
+    def test_validate_metric_rejects_non_strings(self, labels, bad):
+        with pytest.raises(ValueError, match=f"expected a string, got {bad}$"):
+            validate_metric([[0, 1], [1, 0]], labels=labels)
+
+    def test_space_constructor_rejects_non_strings(self):
+        with pytest.raises(ValueError, match="expected a string, got 2$"):
+            FiniteMetricSpace([2, None], [[0, 1], [1, 0]])
 
 
 class TestPointAndSetDistances:
@@ -441,16 +456,31 @@ class TestTriangleScan:
     @settings(max_examples=400, deadline=None)
     @given(matrix=triangle_matrices(), block=st.sampled_from([1, 20, 100, BLOCK_ELEMENTS]))
     def test_matches_naive_first_triple(self, matrix, block):
+        # a NaN or infinite entry used to give a NaN or infinite deficit
+        if not np.isfinite(matrix).all():
+            with pytest.raises(NonFiniteEntry):
+                max_triangle_deficit(np.array(matrix))
+            return
         # small blocks split even these matrices into several row blocks
         with mock.patch.object(metric_core, "BLOCK_ELEMENTS", block):
             value, witness = max_triangle_deficit(np.array(matrix))
         want, want_witness = naive_triangle_witness(matrix)
         assert witness == want_witness
-        if math.isnan(want):
-            assert math.isnan(value)
-        else:
-            assert value == want
-            assert math.copysign(1.0, value) == math.copysign(1.0, want)
+        assert value == want
+        assert math.copysign(1.0, value) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("matrix, error", [
+        ([], NonSquareMatrix),
+        ([[]], NonSquareMatrix),
+        ([[0, 1, 2], [1, 0, 1]], NonSquareMatrix),
+        ([0.0, 1.0], NonSquareMatrix),
+        (np.zeros((0, 0)), EmptyMatrix),
+    ], ids=["empty-list", "empty-row", "2x3", "1-d", "0x0"])
+    def test_malformed_shapes_rejected(self, matrix, error):
+        # [] and 0 x 0 gave (-inf, (0, 0, 0)); [[]] and 2 x 3 leaked numpy's
+        # ValueError, a 1-d list an IndexError
+        with pytest.raises(error):
+            max_triangle_deficit(matrix)
 
     @pytest.mark.parametrize("block", [1, BLOCK_ELEMENTS])
     def test_violation_only_below_the_diagonal(self, block, monkeypatch):

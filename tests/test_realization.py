@@ -17,6 +17,7 @@ from ghgeo import (
     ConditionFailed,
     Correspondence,
     DegenerateGeodesic,
+    NonFiniteEntry,
     NonpositiveC,
     ParamGrid,
     ParameterOutOfRange,
@@ -193,13 +194,12 @@ class TestLipschitzCheck:
         assert lipschitz(on_grid(fam), 1.0).max_slope == pytest.approx(1.0, abs=1e-9)
 
     def test_closed_form_keeps_a_nan(self):
-        # the closed form read monotone ok and a Lipschitz worst of 0.0 here
+        # the closed form read monotone ok and a Lipschitz worst of 0.0 here,
+        # later a NaN worst; a non-finite slice is now rejected on either path
         fam = RectilinearFamily([[0, math.nan], [math.nan, 0]], [[0, 1], [1, 0]])
-        for chk in run_condition_checks(fam, 0.5, ParamGrid.uniform(3)):
-            assert chk.method == "closed_form"
-            assert not chk.ok
-            assert math.isnan(chk.worst)
-            assert chk.witness is None
+        for family in (fam, on_grid(fam)):
+            with pytest.raises(NonFiniteEntry):
+                run_condition_checks(family, 0.5, ParamGrid.uniform(3))
 
     @pytest.mark.parametrize("kind", ["planar", "graph"])
     def test_closed_form_matches_slope_formula(self, kind):
@@ -266,6 +266,15 @@ class TestBuildProduct:
     def test_nonpositive_c_rejected(self):
         with pytest.raises(NonpositiveC):
             build_product(interp_family(), -1.0, ParamGrid.uniform(5))
+
+    def test_overflowing_c_rejected_before_building(self):
+        # 2 * 1e307 + 1.7e308 is beyond the float range: the build warned of
+        # an overflow and held infinite entries
+        fam = constant_family([[0, 1e307], [1e307, 0]])
+        with pytest.raises(NonFiniteEntry, match="overflow"):
+            build_product(fam, 1.7e308, ParamGrid.uniform(3))
+        prod = build_product(fam, 1.5e308, ParamGrid.uniform(3))
+        assert np.isfinite(prod.dist).all()
 
     def test_nan_c_rejected(self):
         # NaN passed `c <= 0`; the product then verified with fiber error 0.0
@@ -370,38 +379,27 @@ class TestVerifyProduct:
         assert not report.lipschitz.ok
 
     def test_nan_entry_is_reported_not_dropped(self):
+        # a NaN off the slices used to read as NaN errors in the report; no
+        # report certifies it now
         fam = interp_family()
         prod = build_product(fam, 0.5 * fam.max_abs_slope(), ParamGrid.uniform(3))
         d = prod.dist.copy()
         d[0, 2] = math.nan  # ground point 0 at t = 0 against itself at t = 0.5
-        report = verify_product(dataclasses.replace(prod, dist=d))
-        assert not report.passed
-        for err in (
-            report.max_triangle_violation,
-            report.slice_hausdorff_max_error,
-            report.slice_min_distance_max_error,
-            report.fiber_max_error,
-            report.symmetry_error,
-        ):
-            assert math.isnan(err)
-        assert report.triangle_witness is not None
-        assert report.restriction_max_error == 0.0
+        with pytest.raises(NonFiniteEntry):
+            verify_product(dataclasses.replace(prod, dist=d))
 
     def test_nan_in_a_reloaded_slice_fails_both_grid_checks(self):
-        # the grid checks folded with Python max, which dropped the NaN
+        # the grid checks once dropped a NaN in a slice, then read it as a
+        # NaN worst; the loader now rejects any non-finite entry
         prod, _ = realize_geodesic(
             two_point_space(2.0), one_point_space(),
             Correspondence(2, 1, frozenset({(0, 0), (1, 0)})), grid=ParamGrid.uniform(5),
         )
-        data = prod.to_json_dict()
-        data["matrix"][0][1] = data["matrix"][1][0] = math.nan
-        report = verify_product(product_from_json_dict(data))
-        for check in (report.monotone, report.lipschitz):
-            assert not check.ok
-            assert math.isnan(check.worst)
-            assert check.witness is None
-        assert math.isnan(report.lipschitz.max_slope)
-        assert not report.passed
+        for value in (math.nan, math.inf, -math.inf):
+            data = prod.to_json_dict()
+            data["matrix"][0][1] = data["matrix"][1][0] = value
+            with pytest.raises(NonFiniteEntry, match=r"d\[0\]\[1\]"):
+                product_from_json_dict(data)
 
     def test_triangle_scan_matches_naive_triple_loop(self):
         from oracles import naive_triangle_witness
@@ -484,6 +482,14 @@ class TestFamilies:
         with pytest.raises(AttributeError):
             delattr(prod.family, name)
         assert verify_product(prod).to_json_dict() == report.to_json_dict()
+
+    def test_callable_family_labels_must_be_strings(self):
+        # labels [1, 2] built a product whose own JSON export did not reload
+        with pytest.raises(ValueError, match="expected a string, got 1$"):
+            CallableFamily(2, 0.0, 1.0, lambda t: np.eye(2), labels=[1, 2])
+        family = CallableFamily(2, 0.0, 1.0, lambda t: [[0, 1], [1, 0]], labels=["1", "2"])
+        prod = build_product(family, 1.0, ParamGrid.uniform(3))
+        assert product_from_json_dict(prod.to_json_dict()).family.labels == ("1", "2")
 
     def test_callable_attributes_cannot_change(self):
         family = sin_family()
