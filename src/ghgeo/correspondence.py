@@ -9,8 +9,10 @@ factors), where
 The exact solver, capped at m*n <= 25 pair slots (bit i*n + j encodes pair
 (i, j)), searches over int bitsets of slots for covers of every row (point
 of X) and column (point of Y), branching on the line with the fewest
-candidates left (Knuth's Algorithm X).  A seeded local-search heuristic
-handles larger instances and returns an upper bound with a witness.
+candidates left (Knuth's Algorithm X).  The value search stops once it
+reaches the diameter bound |diam X - diam Y|, which no distortion goes
+below.  A seeded local-search heuristic handles larger instances and
+returns an upper bound with a witness.
 """
 
 from __future__ import annotations
@@ -164,9 +166,19 @@ def distortion(R: Correspondence, x: FiniteMetricSpace, y: FiniteMetricSpace) ->
     return float(np.abs(dx - dy).max())
 
 
+def _diameter_gap(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
+    """|diam X - diam Y|, a floor on every distortion, exactly in floats.
+
+    Every correspondence holds pairs over X's diameter pair, so one of its
+    deltas is |fl(diam X - dY[j][j'])| >= fl(diam X - diam Y), since
+    rounding is monotone; the same holds for Y's diameter pair.
+    """
+    return abs(x.diameter() - y.diameter())
+
+
 def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> float:
     """Half the diameter difference; never exceeds the GH distance."""
-    return 0.5 * abs(x.diameter() - y.diameter())
+    return 0.5 * _diameter_gap(x, y)
 
 
 def _require_within_cap(slots: int, what: str = "m*n") -> None:
@@ -180,19 +192,25 @@ def _require_within_cap(slots: int, what: str = "m*n") -> None:
 # the objective: one pair-delta kernel for every search
 # ---------------------------------------------------------------------------
 
-def _deltas(x: FiniteMetricSpace, y: FiniteMetricSpace, members: np.ndarray) -> np.ndarray:
+def _deltas(
+    x: FiniteMetricSpace, y: FiniteMetricSpace, members: np.ndarray | None = None
+) -> np.ndarray:
     """T[b, q] = | dX[i][i'] - dY[j][j'] | for member b = i*n+j and slot
-    q = i'*n+j', one row per member.
+    q = i'*n+j', one row per member; every slot is a member when
+    ``members`` is None, and the rows are then broadcast, not gathered.
 
     Both matrices are in normal form, so with every slot a member T is
     exactly symmetric with a zero diagonal: the maximum of T[:, members] is
     distortion()'s own maximum, and every search optimizes exactly the value
     it reports.
     """
-    ui, uj = np.divmod(members, len(y))
-    d = x.dist[ui][:, :, None] - y.dist[uj][:, None, :]
+    if members is None:
+        d = x.dist[:, None, :, None] - y.dist[None, :, None, :]
+    else:
+        ui, uj = np.divmod(members, len(y))
+        d = x.dist[ui][:, :, None] - y.dist[uj][:, None, :]
     np.abs(d, out=d)
-    return d.reshape(len(members), -1)
+    return d.reshape(-1, len(x) * len(y))
 
 
 # ---------------------------------------------------------------------------
@@ -203,31 +221,47 @@ def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace) -> list[int]:
     """Deterministic starting correspondence: zip points sorted by eccentricity,
     then attach leftover points of the larger side greedily."""
     m, n = len(x), len(y)
-    ecc_x, ecc_y = (-x.dist.max(axis=1)).tolist(), (-y.dist.max(axis=1)).tolist()
+    dx, dy = x.dist, y.dist
+    ecc_x, ecc_y = (-dx.max(axis=1)).tolist(), (-dy.max(axis=1)).tolist()
     order_x = sorted(range(m), key=ecc_x.__getitem__)
     order_y = sorted(range(n), key=ecc_y.__getitem__)
     k = min(m, n)
     codes = [order_x[a] * n + order_y[a] for a in range(k)]
+    if m == n:
+        return codes
     # each leftover point takes the slot whose largest delta against the
-    # slots chosen so far is smallest, the first one on ties
-    if m > n:
-        steps = [order_x[a] * n + np.arange(n) for a in range(n, m)]
-    else:
-        steps = [np.arange(m) * n + order_y[a] for a in range(m, n)]
-    if steps:
-        worst = _deltas(x, y, np.array(codes)).max(axis=0)
-    for candidates in steps:
-        code = int(candidates[np.argmin(worst[candidates])])
-        codes.append(code)
-        np.maximum(worst, _deltas(x, y, np.array([code]))[0], out=worst)
+    # slots chosen so far is smallest, the first one on ties; worst[i*n+j]
+    # is slot (i, j)'s largest delta, so a leftover point's candidates are
+    # one row or one column of it
+    worst = _deltas(x, y, np.array(codes)).max(axis=0)
+    for a in range(k, max(m, n)):
+        if m > n:
+            i = order_x[a]
+            j = int(worst[i * n : (i + 1) * n].argmin())
+        else:
+            j = order_y[a]
+            i = int(worst[j::n].argmin())
+        codes.append(i * n + j)
+        # the new slot's row of _deltas, without building index arrays
+        np.maximum(worst, np.abs(dx[i][:, None] - dy[j]).ravel(), out=worst)
     return codes
 
 
 def _bitsets(allowed: np.ndarray) -> list[int]:
-    """Each row of a 2-D boolean array as an int whose bit q is column q."""
-    packed = np.packbits(allowed, axis=1, bitorder="little")
-    raw, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[a : a + w], "little") for a in range(0, len(raw), w)]
+    """Each row of a 2-D boolean array as an int whose bit q is column q.
+
+    Rows are packed little-endian into 64-bit words, read with one
+    ``tolist``; words past the first are needed only for rows wider than
+    64 columns.
+    """
+    rows, width = allowed.shape
+    words = -(-width // 64)
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    packed[:, : -(-width // 8)] = np.packbits(allowed, axis=1, bitorder="little")
+    vals = packed.view("<u8")
+    if words == 1:
+        return vals.ravel().tolist()
+    return [sum(v << (64 * q) for q, v in enumerate(row)) for row in vals.tolist()]
 
 
 def _line_masks(m: int, n: int) -> list[int]:
@@ -247,7 +281,8 @@ def _find_cover(compat, feas: int, lines, open_lines: list[int], m: int, n: int)
     while fewest:
         low = fewest & -fewest
         c = low.bit_length() - 1
-        rest = [line for line in open_lines if line != c // n and line != m + c % n]
+        row, col = c // n, m + c % n
+        rest = [line for line in open_lines if line != row and line != col]
         cover = _find_cover(compat, feas & compat[c], lines, rest, m, n)
         if cover is not None:
             cover.append(c)
@@ -263,16 +298,19 @@ def _min_distortion(x: FiniteMetricSpace, y: FiniteMetricSpace, start) -> tuple[
     it read, where ``table[p][q]`` is the distortion of {p, q}.
 
     Each cover found with all entries strictly below the best value becomes
-    the best, until none is found or the best is 0.  The best is always the
-    distortion of a correspondence, so the value returned is the same float
-    whatever the start; from an optimal start it costs one failed cover
-    search.  A single slot has distortion 0, so every slot starts feasible.
+    the best, until none is found or the best reaches the diameter gap
+    |diam X - diam Y|, below which no distortion lies (_diameter_gap).  The
+    best is always the distortion of a correspondence, so the value returned
+    is the same float whatever the start.  From an optimal start it costs
+    one failed cover search, or none when the optimum is the diameter gap.
+    A single slot has distortion 0, so every slot starts feasible.
     """
     m, n = len(x), len(y)
-    table = _deltas(x, y, np.arange(m * n))
+    table = _deltas(x, y)
     lines = _line_masks(m, n)
+    floor = _diameter_gap(x, y)
     best = float(table[start][:, start].max())
-    while best > 0.0:
+    while best > floor:
         compat = _bitsets(table < best)
         cover = _find_cover(compat, (1 << m * n) - 1, lines, list(range(m + n)), m, n)
         if cover is None:
@@ -314,7 +352,8 @@ def _canonical_cover(table: np.ndarray, m: int, n: int, d_star: float) -> int:
             if found is not None:
                 return found
         b = high.bit_length() - 1
-        rest = [line for line in open_lines if line != b // n and line != m + b % n]
+        row, col = b // n, m + b % n
+        rest = [line for line in open_lines if line != row and line != col]
         return go(useful & compat[b], rest, count + 1, mask | high, budget)
 
     for budget in range(max(m, n), m + n):

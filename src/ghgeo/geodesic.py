@@ -79,9 +79,10 @@ def slice_gh_check(
     both values are the exact solver's bit for bit.  R is pulled back once
     and both slices are built from that pullback.  d_GH(X, Y) is searched
     from R itself, which for an optimal R is one cover search that finds
-    nothing; d_GH(R_t, R_s) from the diagonal {(r, r)} of R_t x R_s, which
-    is usually optimal too.  The searches are capped like the solver's:
-    |R|^2 and len(x) * len(y) slots within MAX_EXACT_BITS.
+    nothing, or none when the diameter bound |diam X - diam Y| / 2 already
+    equals it; d_GH(R_t, R_s) likewise from the diagonal {(r, r)} of
+    R_t x R_s, which is usually optimal too.  The searches are capped like
+    the solver's: |R|^2 and len(x) * len(y) slots within MAX_EXACT_BITS.
     Raises NotOptimalCorrespondence when half the distortion of R does not
     match the exact GH distance of (X, Y).
     """

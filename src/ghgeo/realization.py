@@ -210,6 +210,13 @@ def _check_c(c: float) -> None:
         raise NonpositiveC(f"c = {c!r} must be positive and finite")
 
 
+def _check_overflow(top: float, c: float, grid: ParamGrid) -> None:
+    """Refuse a product whose entries could overflow: with every slice entry
+    at most ``top``, every product entry is at most 2 * top + c * (b - a)."""
+    if not math.isfinite(2.0 * top + float(c) * (grid.b - grid.a)):
+        raise NonFiniteEntry(f"product entries overflow for slice entry {top!r} and c = {c!r}")
+
+
 @dataclass(frozen=True)
 class ConditionWitness:
     """Ground pair (z1, z2) and parameters (t, s) where a check is worst."""
@@ -394,9 +401,7 @@ def build_product(
     stacked = np.stack([np.asarray(family.dist_at(t), dtype=float) for t in grid.values])
     for t, mat in zip(grid.values, stacked):
         validate_metric(mat, kind="pseudometric", tol=tol, name=f"slice(t={t})")
-    top = float(stacked.max())  # 2 * top + c * (b - a) bounds every sum below
-    if not math.isfinite(2.0 * top + float(c) * (grid.b - grid.a)):
-        raise NonFiniteEntry(f"product entries overflow for slice entry {top!r} and c = {c!r}")
+    _check_overflow(float(stacked.max()), c, grid)
 
     mono, lips = run_condition_checks(family, c, grid, tol)
     if not (mono.ok and lips.ok) and not force:
@@ -591,8 +596,8 @@ def product_from_json_dict(data: dict) -> ProductSpace:
 
     The family is reconstructed from the slice submatrices (it is only known
     at the grid values), points are permuted into canonical slice-major
-    order, and nothing is verified here but finiteness (NonFiniteEntry); run
-    verify_product afterwards.
+    order, and nothing is verified here but finiteness and build_product's
+    overflow bound (NonFiniteEntry); run verify_product afterwards.
     """
     if isinstance(data, dict) and "product" in data:
         data = data["product"]
@@ -637,6 +642,8 @@ def product_from_json_dict(data: dict) -> ProductSpace:
     perm = [where[(zz, pos)] for pos in range(k) for zz in range(z)]
     d = mat[np.ix_(perm, perm)]
     d.setflags(write=False)
+    # the slices are the diagonal blocks
+    _check_overflow(float(d.reshape(k, z, k, z).diagonal(axis1=0, axis2=2).max()), c, grid)
 
     def sampled(t: float) -> np.ndarray:
         if t not in pos_of:

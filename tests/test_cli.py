@@ -620,6 +620,22 @@ class TestStrictJson:
         assert strict_json(res.output)["error"] == "NonFiniteEntry"
         assert not out.exists()
 
+    def test_verify_refuses_overflowing_c(self, tmp_path):
+        # c * (b - a) = 5e308 overflows: verify warned twice of an overflow
+        # and exited 2 with a message that named no field.  The suite turns
+        # any warning into an error, so this also pins that none is raised
+        prod = tmp_path / "prod.json"
+        prod.write_text(json.dumps({
+            "c": 5e307, "grid": [0.0, 10.0],
+            "points": [{"z": 0, "label": "a", "t": 0.0}, {"z": 0, "label": "a", "t": 10.0}],
+            "matrix": [[0.0, 1.0], [1.0, 0.0]],
+        }))
+        res = run(["verify", str(prod)])
+        assert res.exit_code == EXIT_INPUT_ERROR
+        payload = strict_json(res.output)
+        assert payload["error"] == "NonFiniteEntry"
+        assert "c = 5e+307" in payload["message"]
+
     def test_overflowing_report_number_exits_2(self, tmp_path):
         # symmetry_error = |1e308 - (-1e308)| overflows.  numpy warns of the
         # overflow, which the suite turns into an error, so this runs in a
@@ -712,6 +728,25 @@ class TestBenchmarkContract:
                 sliced += out[1] is not None
                 assert wl.check(k, out) == [], (k, wl.shape(k))
             assert sliced
+        finally:
+            files.cleanup()
+
+    def test_heuristic_scale_ops_pass_their_checks(self, monkeypatch, tmp_path):
+        # a stream of one op per shape covers every square size and both
+        # kinds of the skewed shapes; each op must pass the harness's own
+        # checks
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        workloads = importlib.import_module("workloads")
+        tracing = importlib.import_module("tracing")
+        shapes = len(workloads.HeuristicScale.SHAPES)
+        monkeypatch.setattr(workloads.HeuristicScale, "STREAM", shapes)
+        files = workloads.FreshFiles(tmp_path / "bench")
+        try:
+            wl = workloads.HeuristicScale(1, files, BENCH_DIR.parent)
+            wl.setup()
+            assert {wl.shape(k) for k in range(shapes)} >= {"planar 8x60", "graph 16x40"}
+            for k in range(shapes):
+                assert wl.check(k, wl.run(k, tracing.NullTracer())) == [], (k, wl.shape(k))
         finally:
             files.cleanup()
 

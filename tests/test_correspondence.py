@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ghgeo import (
     AsymmetricMatrix,
@@ -30,6 +31,7 @@ from ghgeo import (
     slice_gh_check,
     validate_metric,
 )
+from ghgeo import correspondence as C
 
 from instances import (
     graph_matrix,
@@ -44,6 +46,8 @@ from oracles import bnb_gh, naive_gh, naive_gh_heuristic, naive_surjective_masks
 DATA_DIR = Path(__file__).parent / "data"
 # every shape with 13 <= m*n <= 25: above naive_gh's reach, within the cap
 ORACLE_SHAPES = [(m, n) for m in range(1, 26) for n in range(1, 26) if 13 <= m * n <= 25]
+# every shape naive_gh enumerates quickly
+NAIVE_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
 
 
 SMALL_INTEGERS = st.integers(0, 3).map(float)
@@ -285,6 +289,90 @@ class TestLowerBound:
         for seed in range(20):
             x, y = planar_pair(seed + 400)
             assert gh_lower_bound(x, y) <= gh_distance_exact(x, y).value + 1e-15
+
+
+def drawn_pair(shape, make, seed: int, jitter: bool):
+    """A pair from ``make`` (planar or tie-heavy graph), its entries moved by
+    up to +-4e-10 when ``jitter`` is set."""
+    rng = random.Random(seed)
+    dx, dy = (make(rng, size) for size in shape)
+    if jitter:
+        dx, dy = ([[v + rng.uniform(-4e-10, 4e-10) for v in row] for row in d] for d in (dx, dy))
+    # +-4e-10 on every entry can add up to 1.2e-9 to a triangle deficit
+    return validate_metric(dx, tol=2e-9), validate_metric(dy, tol=2e-9)
+
+
+class TestDiameterFloor:
+    """The value search stops at |diam X - diam Y|, which must bound every
+    distortion exactly in floats, or it could return a value above the
+    optimum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(NAIVE_SHAPES),
+        make=st.sampled_from([planar_matrix, graph_matrix]),
+        seed=st.integers(0, 2**32 - 1),
+        jitter=st.booleans(),
+    )
+    def test_floor_bounds_every_distortion_and_any_start_agrees(self, shape, make, seed, jitter):
+        x, y = drawn_pair(shape, make, seed, jitter)
+        m, n = shape
+        floor = C._diameter_gap(x, y)
+        for mask in naive_surjective_masks(m, n):
+            assert distortion(Correspondence.from_bitmask(m, n, mask), x, y) >= floor
+        value, witness = naive_gh(x.dist.tolist(), y.dist.tolist())
+        starts = [C._greedy_codes(x, y), list(range(m * n)),
+                  [k for k in range(m * n) if witness >> k & 1]]
+        assert {C._min_distortion(x, y, start)[0] for start in starts} == {2.0 * value}
+
+    def test_no_cover_search_when_the_start_meets_the_floor(self, monkeypatch):
+        calls = []
+        find_cover = C._find_cover
+
+        def counted(*args):
+            calls.append(1)
+            return find_cover(*args)
+
+        monkeypatch.setattr(C, "_find_cover", counted)
+        met = 0
+        for seed in range(40):
+            x, y = drawn_pair(NAIVE_SHAPES[seed % len(NAIVE_SHAPES)], graph_matrix, seed, False)
+            value, witness = naive_gh(x.dist.tolist(), y.dist.tolist())
+            calls.clear()
+            best, _ = C._min_distortion(x, y, [k for k in range(len(x) * len(y)) if witness >> k & 1])
+            assert best == 2.0 * value
+            # from an optimal start: no search when it meets the floor, else
+            # the one that finds nothing
+            at_floor = best == C._diameter_gap(x, y)
+            assert (not calls) == at_floor, seed
+            met += at_floor
+        assert 0 < met < 40
+        calls.clear()
+        assert gh_distance_exact(two_point_space(2.0), one_point_space()).value == 1.0
+        assert not calls
+
+
+class TestSearchKernels:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(ORACLE_SHAPES),
+        make=st.sampled_from([planar_matrix, graph_matrix]),
+        seed=st.integers(0, 2**32 - 1),
+        jitter=st.booleans(),
+    )
+    def test_broadcast_table_equals_the_gathered_rows(self, shape, make, seed, jitter):
+        x, y = drawn_pair(shape, make, seed, jitter)
+        every = np.arange(len(x) * len(y))
+        assert C._deltas(x, y).tobytes() == C._deltas(x, y, every).tobytes()
+        assert C._deltas(x, y).shape == (every.size, every.size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.tuples(st.integers(1, 30), st.integers(1, 200)).flatmap(
+        lambda shape: arrays(np.bool_, shape)))
+    def test_each_row_is_the_int_of_its_set_columns(self, allowed):
+        # widths past 64 and 128 take a second and third word
+        expected = [sum(1 << q for q in np.flatnonzero(row).tolist()) for row in allowed]
+        assert C._bitsets(allowed) == expected
 
 
 class TestHeuristic:

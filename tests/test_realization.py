@@ -275,6 +275,12 @@ class TestBuildProduct:
             build_product(fam, 1.7e308, ParamGrid.uniform(3))
         prod = build_product(fam, 1.5e308, ParamGrid.uniform(3))
         assert np.isfinite(prod.dist).all()
+        # the loader applies the same bound: what the build writes reloads
+        data = prod.to_json_dict()
+        assert product_from_json_dict(data).dist.tobytes() == prod.dist.tobytes()
+        data["c"] = 1.7e308
+        with pytest.raises(NonFiniteEntry, match="c = 1.7e"):
+            product_from_json_dict(data)
 
     def test_nan_c_rejected(self):
         # NaN passed `c <= 0`; the product then verified with fiber error 0.0
