@@ -389,10 +389,14 @@ class HeuristicConfig:
     restarts: int = 4
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name in ("iterations", "restarts"):
+            value = getattr(self, name)
+            try:
+                _json_int(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _first_move(
@@ -442,9 +446,21 @@ def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) 
     """First-improvement hill climbing on distortion, at most ``max_steps``
     moves.  Each step scores every move from one |R| x (mn) array, built once
     and updated in place: a removal moves the last row into the removed
-    one's place, a swap overwrites one row."""
+    one's place, a swap overwrites one row.
+
+    A bijection has no improving move: a drop needs a member whose row and
+    column each hold another member, and a member alone in its row and
+    column can only swap to its own slot.  So a bijection is scored on its
+    pullback alone, whose maximum is that of the array's member columns bit
+    for bit, and the array is never built.
+    """
     m, n = len(x), len(y)
     members = np.array(sorted(codes))
+    if len(members) == m == n:
+        # sorted by code, member i is the pair (i, perm[i])
+        perm = members % n
+        cur = float(np.abs(x.dist - y.dist.take(perm, 0).take(perm, 1)).max())
+        return cur, set(members.tolist())
     t = _deltas(x, y, members)
     steps = 0
     while True:
@@ -486,7 +502,9 @@ def gh_distance_heuristic(
     Starts from the eccentricity-greedy correspondence, then runs
     first-improvement hill climbing with random restarts.  The result is
     deterministic for a fixed seed and always an upper bound (its witness is
-    a genuine correspondence).
+    a genuine correspondence).  A bijection is a local minimum of the move
+    set, so on square pairs, where every start is one, the result is the
+    best of the ``restarts`` starts.
     """
     import random
 

@@ -292,7 +292,11 @@ def run_condition_checks(
         dt = tv[a + 1 :] - tv[a]
         g = np.abs(diff)
         slopes.append((g.max(axis=(1, 2)) / dt).max())
-        deficit = g - (2.0 * c * dt)[:, None, None]
+        # 2c(b - a) may overflow where c(b - a) does not; an infinite
+        # budget admits every pair, which is the right answer
+        with np.errstate(over="ignore"):
+            budget = 2.0 * c * dt
+        deficit = g - budget[:, None, None]
         flat = int(np.argmax(deficit))  # first in (b, z1, z2) order
         m = float(deficit.flat[flat])
         if m > raw:

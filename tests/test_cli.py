@@ -636,6 +636,22 @@ class TestStrictJson:
         assert payload["error"] == "NonFiniteEntry"
         assert "c = 5e+307" in payload["message"]
 
+    def test_verify_lipschitz_budget_may_overflow(self, tmp_path):
+        # c * (b - a) = 1e308 is within the overflow bound, but the Lipschitz
+        # budget 2c(b - a) is not: numpy warned of the overflow, which the
+        # suite turns into an error.  An infinite budget admits every pair
+        prod = tmp_path / "prod.json"
+        prod.write_text(json.dumps({
+            "c": 1e307, "grid": [0.0, 10.0],
+            "points": [{"z": 0, "label": "a", "t": 0.0}, {"z": 0, "label": "a", "t": 10.0}],
+            "matrix": [[0.0, 1e308], [1e308, 0.0]],
+        }))
+        res = run(["verify", str(prod)])
+        assert res.exit_code == EXIT_OK
+        report = strict_json(res.output)
+        assert report["passed"] is True
+        assert report["lipschitz"]["ok"] is True
+
     def test_overflowing_report_number_exits_2(self, tmp_path):
         # symmetry_error = |1e308 - (-1e308)| overflows.  numpy warns of the
         # overflow, which the suite turns into an error, so this runs in a

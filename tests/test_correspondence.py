@@ -518,6 +518,59 @@ class TestHeuristic:
     @settings(max_examples=120, deadline=None)
     @given(
         data=st.data(),
+        n=st.integers(1, 10),
+        kind=st.sampled_from(["ties", "jittered", "isometric"]),
+        iterations=st.one_of(st.integers(1, 4), st.just(1000)),
+        seed=st.integers(0, 2**32 - 1),
+        restarts=st.integers(1, 5),
+    )
+    def test_matches_table_oracle_on_square_pairs(self, data, n, kind, iterations, seed, restarts):
+        # every start of a square pair is a bijection, which _descend scores
+        # without building its move array; an isometric pair (Y a permutation
+        # of X) has distortion 0
+        entry = SMALL_INTEGERS
+        if kind == "jittered":
+            entry = st.tuples(SMALL_INTEGERS, st.floats(0.0, 4e-10)).map(sum)
+        dx = data.draw(symmetric_zero_diagonal(n, entry))
+        if kind == "isometric":
+            perm = data.draw(st.permutations(range(n)))
+            dy = [[dx[a][b] for b in perm] for a in perm]
+        else:
+            dy = data.draw(symmetric_zero_diagonal(n, entry))
+        x = FiniteMetricSpace(tuple(f"x{i}" for i in range(n)), dx)
+        y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), dy)
+        res = gh_distance_heuristic(x, y, HeuristicConfig(iterations, seed, restarts))
+        value, pairs = naive_gh_heuristic(dx, dy, iterations, seed, restarts)
+        assert res.value == value
+        assert res.witness.sorted_pairs() == pairs
+
+    @pytest.mark.parametrize("shape, calls", [((12, 12), 0), ((30, 30), 0), ((8, 20), 59)])
+    def test_delta_rows_built(self, monkeypatch, shape, calls):
+        # a bijection has no improving move, so on square pairs no start
+        # builds its |R| x mn array; on 8 x 20 the calls are the greedy
+        # start's one, four descents' arrays and 54 swap rows
+        deltas, count = C._deltas, []
+
+        def counting(*args):
+            count.append(1)
+            return deltas(*args)
+
+        monkeypatch.setattr(C, "_deltas", counting)
+        gh_distance_heuristic(planar_space(1, shape[0]), planar_space(2, shape[1]))
+        assert len(count) == calls
+
+    @pytest.mark.parametrize("field", ["iterations", "restarts"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 3.0, True, False, "3", None])
+    def test_config_counts_are_positive_integers(self, field, value):
+        # restarts=2.5 escaped as a TypeError from range; iterations=2.5 and
+        # True were accepted
+        with pytest.raises(ValueError, match=field):
+            HeuristicConfig(**{field: value})
+        assert getattr(HeuristicConfig(**{field: np.int64(2)}), field) == 2
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
         small=st.integers(1, 3),
         large=st.integers(4, 12),
         transpose=st.booleans(),
