@@ -65,7 +65,6 @@ from .realization import (
     CallableFamily,
     ConditionCheck,
     ConditionWitness,
-    InterpolationFamily,
     ParamGrid,
     ProductSpace,
     RectilinearFamily,

@@ -389,13 +389,15 @@ class HeuristicConfig:
     restarts: int = 4
 
     def __post_init__(self):
-        for name in ("iterations", "restarts"):
+        # the seed may be negative; random.Random(None) would seed from the
+        # OS, and random.Random(np.int64(3)) raises TypeError
+        for name in ("iterations", "restarts", "seed"):
             value = getattr(self, name)
             try:
-                _json_int(value)
+                object.__setattr__(self, name, _json_int(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-            if value < 1:
+            if value < 1 and name != "seed":
                 raise ValueError(f"{name} must be >= 1")
 
 

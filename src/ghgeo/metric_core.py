@@ -235,6 +235,8 @@ def validate_metric(
     "metric" rejects zero off-diagonal entries of the stored matrix.  The
     space reports the strictest kind that holds.
     """
+    if kind not in ("metric", "pseudometric"):
+        raise ValueError(f"kind = {kind!r} must be 'metric' or 'pseudometric'")
     _check_tol(tol)
     d = _finite_square(np.array(matrix, dtype=float))
     labels = _labels(labels, len(d), "p")

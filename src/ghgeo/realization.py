@@ -26,7 +26,7 @@ certified on the chosen parameter grid only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -70,37 +70,47 @@ DEFAULT_GRID_SIZE = 11
 # interpolation families
 # ---------------------------------------------------------------------------
 
-class InterpolationFamily:
-    """An immutable one-parameter family of pseudometric matrices on a fixed
-    ground set; constructors store attributes through ``vars(self)``."""
+class CallableFamily:
+    """An immutable one-parameter family of pseudometric matrices: a ground
+    set of ``ground_size`` points, a segment [a, b] and a matrix-valued
+    function of t.  Constructors store attributes through ``vars(self)``."""
 
-    def __init__(self, ground_size: int, a: float, b: float, labels: Sequence[str] | None = None):
+    def __init__(
+        self,
+        ground_size: int,
+        a: float,
+        b: float,
+        fn: Callable[[float], np.ndarray],
+        labels: Sequence[str] | None = None,
+    ):
+        ground_size = _json_convert(_json_int, ground_size, type(self).__name__, "ground_size")
         if ground_size <= 0:
             raise ValueError("ground set must be nonempty")
         if not a < b:
             raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
         labels = _labels(labels, ground_size, "z")
-        vars(self).update(a=float(a), b=float(b), ground_size=int(ground_size), labels=labels)
+        vars(self).update(a=float(a), b=float(b), ground_size=ground_size, labels=labels, _fn=fn)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; {name!r} cannot change")
 
     __delattr__ = __setattr__
 
-    def _check_param(self, t: float) -> float:
+    def dist_at(self, t: float) -> np.ndarray:
         if not self.a <= t <= self.b:
             raise ParameterOutOfRange(f"t = {t!r} outside [{self.a}, {self.b}]")
-        return float(t)
+        m = np.asarray(self._fn(float(t)), dtype=float)
+        if m.shape != (self.ground_size, self.ground_size):
+            raise ValueError(f"family evaluator returned shape {m.shape}")
+        return m
 
-    def dist_at(self, t: float) -> np.ndarray:
-        raise NotImplementedError
 
-
-class RectilinearFamily(InterpolationFamily):
+class RectilinearFamily(CallableFamily):
     """Affine interpolation (1-t)*dx + t*dy on [0, 1].
 
     dx and dy are the distance matrices of the two endpoint spaces pulled
-    back to a common ground set, e.g. the elements of a correspondence.
+    back to a common ground set, e.g. the elements of a correspondence.  The
+    function is a bound method, so the family pickles and deep-copies.
     """
 
     def __init__(self, dx, dy, labels: Sequence[str] | None = None):
@@ -108,7 +118,7 @@ class RectilinearFamily(InterpolationFamily):
         dy = np.array(dy, dtype=float)
         if dx.shape != dy.shape or dx.ndim != 2 or dx.shape[0] != dx.shape[1]:
             raise ValueError("dx and dy must be square matrices of equal shape")
-        super().__init__(dx.shape[0], 0.0, 1.0, labels)
+        super().__init__(dx.shape[0], 0.0, 1.0, self._affine, labels)
         dx.setflags(write=False)
         dy.setflags(write=False)
         vars(self).update(dx=dx, dy=dy)
@@ -120,8 +130,7 @@ class RectilinearFamily(InterpolationFamily):
         dx, dy, labels = pullback_matrices(R, x, y)
         return cls(dx, dy, labels)
 
-    def dist_at(self, t: float) -> np.ndarray:
-        t = self._check_param(t)
+    def _affine(self, t: float) -> np.ndarray:
         return (1.0 - t) * self.dx + t * self.dy
 
     @property
@@ -132,31 +141,13 @@ class RectilinearFamily(InterpolationFamily):
         return float(np.abs(self.slopes).max())
 
 
-class CallableFamily(InterpolationFamily):
-    """Family backed by an arbitrary matrix-valued function of t."""
-
-    def __init__(
-        self,
-        ground_size: int,
-        a: float,
-        b: float,
-        fn: Callable[[float], np.ndarray],
-        labels: Sequence[str] | None = None,
-    ):
-        super().__init__(ground_size, a, b, labels)
-        vars(self).update(_fn=fn)
-
-    def dist_at(self, t: float) -> np.ndarray:
-        t = self._check_param(t)
-        m = np.asarray(self._fn(t), dtype=float)
-        if m.shape != (self.ground_size, self.ground_size):
-            raise ValueError(f"family evaluator returned shape {m.shape}")
-        return m
-
-
 # ---------------------------------------------------------------------------
 # parameter grids
 # ---------------------------------------------------------------------------
+
+def _json_floats(values) -> tuple[float, ...]:
+    return tuple(map(_json_float, values))
+
 
 @dataclass(frozen=True)
 class ParamGrid:
@@ -165,7 +156,7 @@ class ParamGrid:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = _json_convert(_json_floats, self.values, "ParamGrid", "values")
         if len(vals) < 2:
             raise ValueError("a grid needs at least two values")
         # a NaN fails every comparison, so each value is tested for finiteness
@@ -174,12 +165,13 @@ class ParamGrid:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def uniform(
-        cls, count: int = DEFAULT_GRID_SIZE, a: float = 0.0, b: float = 1.0
-    ) -> "ParamGrid":
+    def uniform(cls, count: int = DEFAULT_GRID_SIZE) -> "ParamGrid":
+        """``count`` equally spaced values on [0, 1], the segment of every
+        rectilinear family."""
+        count = _json_convert(_json_int, count, "ParamGrid.uniform", "count")
         if count < 2:
             raise ValueError("a grid needs at least two values")
-        return cls(tuple(np.linspace(a, b, count).tolist()))
+        return cls(tuple(np.linspace(0.0, 1.0, count).tolist()))
 
     @property
     def a(self) -> float:
@@ -226,9 +218,6 @@ class ConditionWitness:
     t: float
     s: float
 
-    def to_json_dict(self) -> dict:
-        return {"z1": self.z1, "z2": self.z2, "t": self.t, "s": self.s}
-
 
 @dataclass(frozen=True)
 class ConditionCheck:
@@ -248,19 +237,11 @@ class ConditionCheck:
     max_slope: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "method": self.method,
-            "ok": self.ok,
-            "worst": self.worst,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-            "tol": self.tol,
-            "max_slope": self.max_slope,
-        }
+        return asdict(self)
 
 
 def run_condition_checks(
-    family: InterpolationFamily, c: float, grid: ParamGrid, tol: float = DEFAULT_TOL
+    family: CallableFamily, c: float, grid: ParamGrid, tol: float = DEFAULT_TOL
 ) -> tuple[ConditionCheck, ConditionCheck]:
     """Check monotonicity and the 2c-Lipschitz bound in one pass over grid pairs.
 
@@ -346,7 +327,7 @@ class ProductSpace:
     grid value number k.
     """
 
-    family: InterpolationFamily
+    family: CallableFamily
     c: float
     grid: ParamGrid
     dist: np.ndarray
@@ -381,7 +362,7 @@ class ProductSpace:
 
 
 def build_product(
-    family: InterpolationFamily,
+    family: CallableFamily,
     c: float,
     grid: ParamGrid,
     tol: float = DEFAULT_TOL,
@@ -402,7 +383,7 @@ def build_product(
             f"grid spans [{grid.a}, {grid.b}] but the family is defined on "
             f"[{family.a}, {family.b}]"
         )
-    stacked = np.stack([np.asarray(family.dist_at(t), dtype=float) for t in grid.values])
+    stacked = np.stack([family.dist_at(t) for t in grid.values])
     for t, mat in zip(grid.values, stacked):
         validate_metric(mat, kind="pseudometric", tol=tol, name=f"slice(t={t})")
     _check_overflow(float(stacked.max()), c, grid)
@@ -476,22 +457,12 @@ class VerificationReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "monotone": self.monotone.to_json_dict(),
-            "lipschitz": self.lipschitz.to_json_dict(),
-            "max_triangle_violation": self.max_triangle_violation,
-            "triangle_witness": (
-                None if self.triangle_witness is None else list(self.triangle_witness)
-            ),
-            "slice_hausdorff_max_error": self.slice_hausdorff_max_error,
-            "slice_min_distance_max_error": self.slice_min_distance_max_error,
-            "restriction_max_error": self.restriction_max_error,
-            "fiber_max_error": self.fiber_max_error,
-            "symmetry_error": self.symmetry_error,
-            "diagonal_error": self.diagonal_error,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        """The fields in declaration order, then ``passed``."""
+        data = asdict(self)
+        if self.triangle_witness is not None:
+            data["triangle_witness"] = list(self.triangle_witness)
+        data["passed"] = self.passed
+        return data
 
 
 def verify_product(prod: ProductSpace, tol: float = DEFAULT_TOL) -> VerificationReport:
@@ -609,7 +580,7 @@ def product_from_json_dict(data: dict) -> ProductSpace:
     c, grid, pts, mat = _json_fields(data, what, ("c", "grid", "points", "matrix"))
     c = _json_convert(_json_float, c, what, "c")
     _check_c(c)
-    grid = ParamGrid(_json_convert(lambda v: tuple(map(_json_float, v)), grid, what, "grid"))
+    grid = ParamGrid(_json_convert(_json_floats, grid, what, "grid"))
     pts = _json_convert(list, pts, what, "points")
     mat = _json_convert(_float_array, mat, what, "matrix")
     n = len(pts)

@@ -568,6 +568,17 @@ class TestHeuristic:
             HeuristicConfig(**{field: value})
         assert getattr(HeuristicConfig(**{field: np.int64(2)}), field) == 2
 
+    @pytest.mark.parametrize("value", [None, 2.5, 3.0, True, False, "a"])
+    def test_config_seed_is_an_integer(self, value):
+        # seed=None seeded random.Random from the OS: 14 different witnesses
+        # in 20 calls on this pair
+        with pytest.raises(ValueError, match="seed"):
+            HeuristicConfig(seed=value)
+        x, y = planar_space(1, 6), planar_space(2, 9)
+        runs = [gh_distance_heuristic(x, y, HeuristicConfig(seed=s)).to_json_dict()
+                for s in (-3, np.int64(-3))]
+        assert runs[0] == runs[1]
+
     @settings(max_examples=120, deadline=None)
     @given(
         data=st.data(),

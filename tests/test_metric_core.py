@@ -122,6 +122,12 @@ class TestValidateMetric:
         space = validate_metric(matrix, kind="pseudometric")
         assert space.kind == "pseudometric"
 
+    @pytest.mark.parametrize("kind", ["metrc", "Metric", None])
+    def test_unknown_kind_rejected(self, kind):
+        # "metrc" returned a pseudometric space, dropping the check asked for
+        with pytest.raises(ValueError, match="'metric' or 'pseudometric'"):
+            validate_metric([[0, 0], [0, 0]], kind=kind)
+
     def test_reported_kind_is_strictest_that_holds(self):
         space = validate_metric([[0, 1], [1, 0]], kind="pseudometric")
         assert space.kind == "metric"

@@ -1,11 +1,13 @@
 """Tests for the product metric construction, condition checks, and
 verification reports."""
 
+import copy
 import dataclasses
 import hashlib
 import importlib
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -55,6 +57,12 @@ def sin_family():
     )
 
 
+def bent(t):
+    """Two ground points at distance 1 + t^2: a module-level function, so a
+    family over it pickles."""
+    return np.array([[0.0, 1.0 + t * t], [1.0 + t * t, 0.0]])
+
+
 def constant_family(matrix):
     m = np.asarray(matrix, dtype=float)
     return RectilinearFamily(m, m)
@@ -95,6 +103,21 @@ class TestParamGrid:
         # a NaN fails every `>=` test, so it passed the ordering check
         with pytest.raises(ValueError, match="finite"):
             ParamGrid(values)
+
+
+    @pytest.mark.parametrize("values", [("0", "1"), (False, True), (0.0, None), 1.0])
+    def test_values_are_numbers(self, values):
+        # ("0", "1") and (False, True) both gave the grid (0.0, 1.0)
+        with pytest.raises(ValueError, match="'values'"):
+            ParamGrid(values)
+        assert ParamGrid(np.array([0.0, 0.5])).values == (0.0, 0.5)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])
+    def test_uniform_count_is_an_integer(self, count):
+        # 2.5 and 3.0 escaped as a TypeError from np.linspace
+        with pytest.raises(ValueError, match="'count'"):
+            ParamGrid.uniform(count)
+        assert ParamGrid.uniform(np.int64(3)).values == (0.0, 0.5, 1.0)
 
 
 def product_entry(fam, c, grid, p, q) -> float:
@@ -503,6 +526,33 @@ class TestFamilies:
             with pytest.raises(AttributeError):
                 setattr(family, name, 0.5)
         assert (family.a, family.b) == (0.0, 1.0)
+
+
+    @pytest.mark.parametrize("size", [True, 2.5, "2", None])
+    def test_ground_size_is_an_integer(self, size):
+        # True built a one-point family; 2.5 escaped as a TypeError
+        with pytest.raises(ValueError, match="'ground_size'"):
+            CallableFamily(size, 0.0, 1.0, bent)
+        assert CallableFamily(np.int64(2), 0.0, 1.0, bent).ground_size == 2
+
+    @pytest.mark.parametrize(
+        "duplicate", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_families_and_products_survive_copies(self, duplicate):
+        # a family whose function is a lambda would not pickle
+        x, y = planar_pair(7, sizes=(3, 4))
+        prod, report = realize_geodesic(x, y, gh_distance_exact(x, y).witness,
+                                        grid=ParamGrid.uniform(5))
+        for family in (prod.family, interp_family(), CallableFamily(2, 0.0, 1.0, bent)):
+            twin = duplicate(family)
+            assert type(twin) is type(family)
+            for t in (0.0, 0.3, 1 / 3, 1.0):
+                assert twin.dist_at(t).tobytes() == family.dist_at(t).tobytes()
+        twin = duplicate(prod)
+        assert twin.dist.tobytes() == prod.dist.tobytes()
+        assert verify_product(twin) == report
+        assert report.monotone.method == "closed_form"
 
 
 class TestLinearHausdorffIdentity:
