@@ -202,7 +202,9 @@ def _deltas(
     Both matrices are in normal form, so with every slot a member T is
     exactly symmetric with a zero diagonal: the maximum of T[:, members] is
     distortion()'s own maximum, and every search optimizes exactly the value
-    it reports.
+    it reports.  The exact solver's table and the greedy start read it;
+    heuristic descent computes the same differences over the member columns
+    and one line of slots at a time (``_descend``).
     """
     if members is None:
         d = x.dist[:, None, :, None] - y.dist[None, :, None, :]
@@ -401,60 +403,53 @@ class HeuristicConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _first_move(
-    t: np.ndarray, cur: float, members: np.ndarray, m: int, n: int
-) -> tuple[int, int | None] | None:
-    """The first improving move as (row of the member to drop, slot to put
-    in its place or None), or None at a local minimum.
+def _swap_target(
+    x: FiniteMetricSpace, y: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray,
+    b: int, in_row: bool, cur: float,
+) -> tuple[int, np.ndarray] | None:
+    """The first absent slot that member b can swap into, as (slot, its
+    deltas against the members), or None.
+
+    b is the only member on its row (``in_row``) or on its column, so the
+    targets are the other slots of that line, ascending by code.  Slot q
+    qualifies when no member but b reaches ``cur`` against it.
+    """
+    i, j = rows[b], cols[b]
+    if in_row:  # slots (i, 0), ..., (i, n-1)
+        line = np.abs(x.dist[rows, i][:, None] - y.dist[cols])
+    else:  # slots (0, j), ..., (m-1, j)
+        line = np.abs(x.dist[rows] - y.dist[cols, j][:, None])
+    hot = line >= cur
+    ok = hot.sum(axis=0) == hot[b]
+    ok[j if in_row else i] = False  # b's own slot
+    hit = np.flatnonzero(ok)
+    if not hit.size:
+        return None
+    k = int(hit[0])
+    return (i * len(y) + k if in_row else k * len(y) + j), line[:, k]
+
+
+def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) -> tuple[float, set[int]]:
+    """First-improvement hill climbing on distortion, at most ``max_steps``
+    moves.
 
     Moves are scanned in a fixed order: remove a member (surjectivity
     permitting), then swap a member for an absent slot; members and slots
     ascending by code, strict improvement only.  Adding a slot is never a
     move, since distortion is monotone under inclusion.
-    """
-    if cur <= 0.0:
-        return None
-    rows, cols = np.divmod(members, n)
-    row_short = np.bincount(rows, minlength=m)[rows] < 2
-    col_short = np.bincount(cols, minlength=n)[cols] < 2
-    # dis(R - {p}) < cur exactly when every member pair at or above cur
-    # involves p; T is symmetric with a zero diagonal, so p's pairs are twice
-    # its column count
-    over = t >= cur
-    count = over.sum(axis=0, dtype=np.int32)
-    at_members = count[members]
-    drops = np.flatnonzero(2 * at_members == at_members.sum()).tolist()
-    drops.sort(key=members.item)
-    for b in drops:
-        if not row_short[b] and not col_short[b]:
-            return b, None
-    # swapping b for an absent slot q also needs T[u, q] < cur for every
-    # member u but b; members get a count of 2, which neither mask takes
-    count[members] = 2
-    free, single = count == 0, count == 1
-    for b in drops:
-        ok = (free | single & over[b]).reshape(m, n)
-        if row_short[b]:
-            ok[: rows[b]] = ok[rows[b] + 1 :] = False
-        if col_short[b]:
-            ok[:, : cols[b]] = ok[:, cols[b] + 1 :] = False
-        hit = np.flatnonzero(ok)
-        if hit.size:
-            return b, int(hit[0])
-    return None
 
-
-def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) -> tuple[float, set[int]]:
-    """First-improvement hill climbing on distortion, at most ``max_steps``
-    moves.  Each step scores every move from one |R| x (mn) array, built once
-    and updated in place: a removal moves the last row into the removed
-    one's place, a swap overwrites one row.
+    A step reads the |R| x |R| pullback ``pull[u, v]``, the delta between
+    members u and v, built once and updated in place: a removal moves the
+    last member into the removed one's place, a swap rewrites one row and
+    column.  A member that can only be swapped away is alone on its row or
+    its column, so only that line's deltas against the members are built
+    (``_swap_target``).  A step thus costs O(|R|^2 + |R| max(m, n)).  Every
+    delta is computed as in ``_deltas``, bit for bit.
 
     A bijection has no improving move: a drop needs a member whose row and
     column each hold another member, and a member alone in its row and
     column can only swap to its own slot.  So a bijection is scored on its
-    pullback alone, whose maximum is that of the array's member columns bit
-    for bit, and the array is never built.
+    pullback and returned.
     """
     m, n = len(x), len(y)
     members = np.array(sorted(codes))
@@ -463,20 +458,41 @@ def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) 
         perm = members % n
         cur = float(np.abs(x.dist - y.dist.take(perm, 0).take(perm, 1)).max())
         return cur, set(members.tolist())
-    t = _deltas(x, y, members)
+    rows, cols = np.divmod(members, n)
+    pull = np.abs(x.dist[rows][:, rows] - y.dist[cols][:, cols])
     steps = 0
     while True:
-        cur = float(t[:, members].max())
-        move = _first_move(t, cur, members, m, n) if steps < max_steps else None
-        if move is None:
+        cur = float(pull.max())
+        if steps >= max_steps or cur <= 0.0:
             return cur, set(members.tolist())
-        b, q = move
-        if q is None:
-            members[b], t[b] = members[-1], t[-1]
-            members, t = members[:-1], t[:-1]
+        # dis(R - {p}) < cur exactly when every member pair at or above cur
+        # involves p; the pullback is symmetric with a zero diagonal, so p's
+        # pairs are twice its column count
+        at = (pull >= cur).sum(axis=0)
+        drops = np.flatnonzero(2 * at == at.sum()).tolist()
+        drops.sort(key=members.item)
+        rows, cols = np.divmod(members, n)
+        row_short = np.bincount(rows, minlength=m)[rows] < 2
+        col_short = np.bincount(cols, minlength=n)[cols] < 2
+        b = next((b for b in drops if not row_short[b] and not col_short[b]), None)
+        if b is not None:
+            members[b] = members[-1]
+            pull[b] = pull[-1]
+            pull[:, b] = pull[:, -1]
+            members, pull = members[:-1], pull[:-1, :-1]
         else:
-            members[b] = q
-            t[b] = _deltas(x, y, members[b : b + 1])[0]
+            # every candidate is short on some line; one short on both can
+            # only swap into its own slot
+            for b in drops:
+                if row_short[b] != col_short[b]:
+                    swap = _swap_target(x, y, rows, cols, b, row_short[b], cur)
+                    if swap is not None:
+                        break
+            else:
+                return cur, set(members.tolist())
+            members[b], column = swap
+            pull[b] = pull[:, b] = column
+            pull[b, b] = 0.0
         steps += 1
 
 

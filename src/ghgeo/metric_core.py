@@ -88,8 +88,19 @@ def _labels(labels: Iterable | None, n: int, prefix: str) -> tuple[str, ...]:
     return labels
 
 
+class _ReadOnlyArrays:
+    """Restores the array attributes of a copy read-only, as the constructor
+    stored them: pickle and copy.deepcopy rebuild numpy arrays writable."""
+
+    def __setstate__(self, state: dict) -> None:
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(state)
+
+
 @dataclass(frozen=True, eq=False)
-class FiniteMetricSpace:
+class FiniteMetricSpace(_ReadOnlyArrays):
     """A finite set of labelled points with a (pseudo)metric distance matrix.
 
     ``kind`` is derived from the matrix: "metric" when all off-diagonal

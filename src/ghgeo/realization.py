@@ -54,6 +54,7 @@ from .metric_core import (
     _json_str,
     _labels,
     _parse_json,
+    _ReadOnlyArrays,
     max_triangle_deficit,
     validate_metric,
 )
@@ -70,7 +71,7 @@ DEFAULT_GRID_SIZE = 11
 # interpolation families
 # ---------------------------------------------------------------------------
 
-class CallableFamily:
+class CallableFamily(_ReadOnlyArrays):
     """An immutable one-parameter family of pseudometric matrices: a ground
     set of ``ground_size`` points, a segment [a, b] and a matrix-valued
     function of t.  Constructors store attributes through ``vars(self)``."""
@@ -320,7 +321,7 @@ def run_condition_checks(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class ProductSpace:
+class ProductSpace(_ReadOnlyArrays):
     """The finite product Z x grid with the shortcut-plus-vertical metric.
 
     Points are ordered slice-major: index k * |Z| + z is ground point z at
@@ -566,6 +567,22 @@ def realize_geodesic(
 # product file format
 # ---------------------------------------------------------------------------
 
+class _GridSlices(_ReadOnlyArrays):
+    """A loaded product's family function: the diagonal block of its matrix
+    at each grid value.  A module-level class, so loaded products pickle."""
+
+    def __init__(self, d: np.ndarray, z: int, pos_of: dict[float, int]):
+        self.d, self.z, self.pos_of = d, z, pos_of
+
+    def __call__(self, t: float) -> np.ndarray:
+        if t not in self.pos_of:
+            raise ParameterOutOfRange(
+                f"t = {t!r} is not one of the sampled parameter values"
+            )
+        i, z = self.pos_of[t], self.z
+        return self.d[i * z : (i + 1) * z, i * z : (i + 1) * z]
+
+
 def product_from_json_dict(data: dict) -> ProductSpace:
     """Rebuild a product from its JSON export.
 
@@ -620,15 +637,7 @@ def product_from_json_dict(data: dict) -> ProductSpace:
     # the slices are the diagonal blocks
     _check_overflow(float(d.reshape(k, z, k, z).diagonal(axis1=0, axis2=2).max()), c, grid)
 
-    def sampled(t: float) -> np.ndarray:
-        if t not in pos_of:
-            raise ParameterOutOfRange(
-                f"t = {t!r} is not one of the sampled parameter values"
-            )
-        i = pos_of[t]
-        return d[i * z : (i + 1) * z, i * z : (i + 1) * z]
-
-    family = CallableFamily(z, grid.a, grid.b, sampled, labels)
+    family = CallableFamily(z, grid.a, grid.b, _GridSlices(d, z, pos_of), labels)
     return ProductSpace(family=family, c=c, grid=grid, dist=d)
 
 

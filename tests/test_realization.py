@@ -43,6 +43,10 @@ from oracles import product_distance
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# the two ways to copy an object: a pickle round trip and copy.deepcopy
+DUPLICATES = [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy]
+DUPLICATE_IDS = ["pickle", "deepcopy"]
+
 
 def interp_family():
     """Two ground points moving from distance 2 to distance 1."""
@@ -535,10 +539,7 @@ class TestFamilies:
             CallableFamily(size, 0.0, 1.0, bent)
         assert CallableFamily(np.int64(2), 0.0, 1.0, bent).ground_size == 2
 
-    @pytest.mark.parametrize(
-        "duplicate", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
-        ids=["pickle", "deepcopy"],
-    )
+    @pytest.mark.parametrize("duplicate", DUPLICATES, ids=DUPLICATE_IDS)
     def test_families_and_products_survive_copies(self, duplicate):
         # a family whose function is a lambda would not pickle
         x, y = planar_pair(7, sizes=(3, 4))
@@ -553,6 +554,20 @@ class TestFamilies:
         assert twin.dist.tobytes() == prod.dist.tobytes()
         assert verify_product(twin) == report
         assert report.monotone.method == "closed_form"
+
+    @pytest.mark.parametrize("duplicate", DUPLICATES, ids=DUPLICATE_IDS)
+    def test_copies_stay_read_only(self, duplicate):
+        # both round trips restored every array writable, so a copied
+        # family's dx could be rewritten under the product it certifies
+        x, y = planar_pair(7, sizes=(3, 4))
+        prod, _ = realize_geodesic(x, y, gh_distance_exact(x, y).witness,
+                                   grid=ParamGrid.uniform(5))
+        family, twin = duplicate(prod.family), duplicate(prod)
+        arrays = [duplicate(x).dist, family.dx, family.dy, twin.dist, twin.family.dx]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 1] = 3.0
 
 
 class TestLinearHausdorffIdentity:
@@ -624,6 +639,17 @@ class TestProductFormat:
         with pytest.raises(ValueError):
             loaded.family.dist_at(0.5)[0, 1] += 0.25
         assert verify_product(loaded).to_json_dict() == before
+
+    @pytest.mark.parametrize("duplicate", DUPLICATES, ids=DUPLICATE_IDS)
+    def test_loaded_product_survives_copies(self, tmp_path, duplicate):
+        # the loaded family's function was a local closure, which pickle
+        # refused
+        _, loaded = self._reloaded(tmp_path)
+        twin = duplicate(loaded)
+        assert verify_product(twin) == verify_product(loaded)
+        assert not twin.family.dist_at(0.5).flags.writeable
+        with pytest.raises(ParameterOutOfRange, match="not one of the sampled parameter values"):
+            twin.family.dist_at(0.25)
 
     def test_wrapped_payload_accepted(self, tmp_path):
         prod, report = self._sample()
