@@ -414,18 +414,19 @@ def _swap_target(
     targets are the other slots of that line, ascending by code.  Slot q
     qualifies when no member but b reaches ``cur`` against it.
     """
-    i, j = rows[b], cols[b]
+    i, j = int(rows[b]), int(cols[b])
     if in_row:  # slots (i, 0), ..., (i, n-1)
-        line = np.abs(x.dist[rows, i][:, None] - y.dist[cols])
+        line = x.dist[rows, i][:, None] - y.dist.take(cols, 0)
     else:  # slots (0, j), ..., (m-1, j)
-        line = np.abs(x.dist[rows] - y.dist[cols, j][:, None])
+        line = x.dist.take(rows, 0) - y.dist[cols, j][:, None]
+    np.abs(line, out=line)
     hot = line >= cur
-    ok = hot.sum(axis=0) == hot[b]
-    ok[j if in_row else i] = False  # b's own slot
-    hit = np.flatnonzero(ok)
-    if not hit.size:
+    hot[b] = False
+    taken = hot.any(axis=0)
+    taken[j if in_row else i] = True  # b's own slot
+    k = int(taken.argmin())
+    if taken[k]:
         return None
-    k = int(hit[0])
     return (i * len(y) + k if in_row else k * len(y) + j), line[:, k]
 
 
@@ -441,10 +442,13 @@ def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) 
     A step reads the |R| x |R| pullback ``pull[u, v]``, the delta between
     members u and v, built once and updated in place: a removal moves the
     last member into the removed one's place, a swap rewrites one row and
-    column.  A member that can only be swapped away is alone on its row or
-    its column, so only that line's deltas against the members are built
-    (``_swap_target``).  A step thus costs O(|R|^2 + |R| max(m, n)).  Every
-    delta is computed as in ``_deltas``, bit for bit.
+    column.  The member codes, their rows and columns, and the number of
+    members on each row and column of slots are kept across steps the same
+    way.  A member that can only be swapped away is alone on its row or its
+    column, so only that line's deltas against the members are built
+    (``_swap_target``).  A step thus costs O(|R|^2 + |R| max(m, n)) in a
+    fixed handful of numpy calls.  Every delta is computed as in
+    ``_deltas``, bit for bit.
 
     A bijection has no improving move: a drop needs a member whose row and
     column each hold another member, and a member alone in its row and
@@ -460,37 +464,56 @@ def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) 
         return cur, set(members.tolist())
     rows, cols = np.divmod(members, n)
     pull = np.abs(x.dist[rows][:, rows] - y.dist[cols][:, cols])
+    members = members.tolist()
+    on_row, on_col = [0] * m, [0] * n  # members per row and per column
+    for c in members:
+        on_row[c // n] += 1
+        on_col[c % n] += 1
     steps = 0
     while True:
-        cur = float(pull.max())
+        top = int(pull.argmax())
+        cur = pull.item(top)
         if steps >= max_steps or cur <= 0.0:
-            return cur, set(members.tolist())
+            return cur, set(members)
         # dis(R - {p}) < cur exactly when every member pair at or above cur
-        # involves p; the pullback is symmetric with a zero diagonal, so p's
-        # pairs are twice its column count
-        at = (pull >= cur).sum(axis=0)
-        drops = np.flatnonzero(2 * at == at.sum()).tolist()
-        drops.sort(key=members.item)
-        rows, cols = np.divmod(members, n)
-        row_short = np.bincount(rows, minlength=m)[rows] < 2
-        col_short = np.bincount(cols, minlength=n)[cols] < 2
-        b = next((b for b in drops if not row_short[b] and not col_short[b]), None)
-        if b is not None:
+        # involves p, so p is a member of the first such pair argmax finds;
+        # the pullback is symmetric with a zero diagonal, so p's pairs are
+        # twice those in its row
+        hot = pull >= cur
+        total = np.count_nonzero(hot)
+        drops = [b for b in sorted(divmod(top, len(members)), key=members.__getitem__)
+                 if 2 * np.count_nonzero(hot[b]) == total]
+        # whether each candidate is alone on its row, and on its column
+        short = [(on_row[members[b] // n] < 2, on_col[members[b] % n] < 2) for b in drops]
+        if (False, False) in short:
+            b = drops[short.index((False, False))]
+            i, j = divmod(members[b], n)
+            on_row[i] -= 1
+            on_col[j] -= 1
             members[b] = members[-1]
+            members.pop()
+            rows[b], cols[b] = rows[-1], cols[-1]
             pull[b] = pull[-1]
             pull[:, b] = pull[:, -1]
-            members, pull = members[:-1], pull[:-1, :-1]
+            rows, cols, pull = rows[:-1], cols[:-1], pull[:-1, :-1]
         else:
             # every candidate is short on some line; one short on both can
             # only swap into its own slot
-            for b in drops:
-                if row_short[b] != col_short[b]:
-                    swap = _swap_target(x, y, rows, cols, b, row_short[b], cur)
+            for b, (row_short, col_short) in zip(drops, short):
+                if row_short != col_short:
+                    swap = _swap_target(x, y, rows, cols, b, row_short, cur)
                     if swap is not None:
                         break
             else:
-                return cur, set(members.tolist())
-            members[b], column = swap
+                return cur, set(members)
+            code, column = swap
+            i, j = divmod(members[b], n)
+            on_row[i] -= 1
+            on_col[j] -= 1
+            i, j = divmod(code, n)
+            on_row[i] += 1
+            on_col[j] += 1
+            members[b], rows[b], cols[b] = code, i, j
             pull[b] = pull[:, b] = column
             pull[b, b] = 0.0
         steps += 1

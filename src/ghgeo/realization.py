@@ -84,13 +84,17 @@ class CallableFamily(_ReadOnlyArrays):
         fn: Callable[[float], np.ndarray],
         labels: Sequence[str] | None = None,
     ):
-        ground_size = _json_convert(_json_int, ground_size, type(self).__name__, "ground_size")
+        what = type(self).__name__
+        ground_size = _json_convert(_json_int, ground_size, what, "ground_size")
         if ground_size <= 0:
             raise ValueError("ground set must be nonempty")
-        if not a < b:
-            raise ValueError(f"need a < b, got [{a!r}, {b!r}]")
+        a = _json_convert(_json_float, a, what, "a")
+        b = _json_convert(_json_float, b, what, "b")
+        # finite ends, as ParamGrid's values are; a NaN fails a < b as well
+        if not (math.isfinite(a) and math.isfinite(b) and a < b):
+            raise ValueError(f"need finite a < b, got [{a!r}, {b!r}]")
         labels = _labels(labels, ground_size, "z")
-        vars(self).update(a=float(a), b=float(b), ground_size=ground_size, labels=labels, _fn=fn)
+        vars(self).update(a=a, b=b, ground_size=ground_size, labels=labels, _fn=fn)
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable; {name!r} cannot change")

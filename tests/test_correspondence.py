@@ -601,3 +601,57 @@ class TestHeuristic:
         value, pairs = naive_gh_heuristic(dx, dy, seed=seed, restarts=3)
         assert res.value == value
         assert res.witness.sorted_pairs() == pairs
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        small=st.integers(1, 3),
+        large=st.integers(4, 12),
+        transpose=st.booleans(),
+        iterations=st.one_of(st.integers(1, 6), st.just(1000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_table_oracle_on_truncated_skewed_descents(
+        self, data, small, large, transpose, iterations, seed
+    ):
+        # descents cut after a few swaps stop in states of the kept member
+        # order and line counts, not only in a local minimum; float entries
+        # give steps with a single hot pair, whose two members may both be
+        # candidates, tried in code order
+        m, n = (large, small) if transpose else (small, large)
+        dx = data.draw(symmetric_zero_diagonal(m))
+        dy = data.draw(symmetric_zero_diagonal(n))
+        x = FiniteMetricSpace(tuple(f"x{i}" for i in range(m)), dx)
+        y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), dy)
+        res = gh_distance_heuristic(x, y, HeuristicConfig(iterations, seed, 3))
+        value, pairs = naive_gh_heuristic(dx, dy, iterations, seed, 3)
+        assert res.value == value
+        assert res.witness.sorted_pairs() == pairs
+
+    @pytest.mark.parametrize("kind", ["planar", "graph"])
+    @pytest.mark.parametrize("m, n", [(8, 60), (16, 40), (60, 8)])
+    def test_every_budget_leaves_a_correspondence_worth_its_value(self, kind, m, n):
+        # the benchmark's skewed shapes, where the table oracle is too slow:
+        # random-start descents cut at every step count up to their end
+        # return a correspondence whose distortion is the value returned,
+        # and more steps never raise the value
+        make = {"planar": planar_matrix, "graph": graph_matrix}[kind]
+        rng = random.Random(f"{kind} {m}x{n}")
+        x = validate_metric(make(rng, m), kind="pseudometric", tol=1e-9)
+        y = validate_metric(make(rng, n), kind="pseudometric", tol=1e-9)
+        # a start of the heuristic holds one member per point of the larger
+        # side, so it can only swap; twelve more random slots let it drop
+        for extra in (0, 0, 12, 12):
+            start = C._random_codes(rng, m, n) | set(rng.sample(range(m * n), extra))
+            end = C._descend(x, y, start, 1000)
+            steps, last = 0, float("inf")
+            while True:
+                value, codes = C._descend(x, y, start, steps)
+                witness = Correspondence(m, n, frozenset(divmod(c, n) for c in codes))
+                assert distortion(witness, x, y) == value
+                assert value <= last
+                if (value, codes) == end:
+                    break
+                steps, last = steps + 1, value
+            # ties leave most starts of a graph pair without a move
+            assert kind == "graph" or steps > 0

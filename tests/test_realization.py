@@ -539,6 +539,17 @@ class TestFamilies:
             CallableFamily(size, 0.0, 1.0, bent)
         assert CallableFamily(np.int64(2), 0.0, 1.0, bent).ground_size == 2
 
+    @pytest.mark.parametrize("a, b", [
+        ("0", "1"), (False, True), (None, 1.0), (-math.inf, math.inf), (0.0, math.inf), (0.0, math.nan),
+    ])
+    def test_segment_ends_are_finite_numbers(self, a, b):
+        # ("0", "1") and (False, True) built a family on [0.0, 1.0] that
+        # build_product ran on, and (-inf, inf) was accepted
+        with pytest.raises(ValueError, match="field 'a'|need finite a < b"):
+            CallableFamily(2, a, b, bent)
+        family = CallableFamily(2, np.int64(0), np.float32(0.5), bent)
+        assert (family.a, family.b) == (0.0, 0.5) and type(family.b) is float
+
     @pytest.mark.parametrize("duplicate", DUPLICATES, ids=DUPLICATE_IDS)
     def test_families_and_products_survive_copies(self, duplicate):
         # a family whose function is a lambda would not pickle
