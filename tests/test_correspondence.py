@@ -628,6 +628,48 @@ class TestHeuristic:
         assert res.value == value
         assert res.witness.sorted_pairs() == pairs
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        max_steps=st.one_of(st.integers(0, 4), st.just(1000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_start_and_descent_is_a_map_onto_the_smaller_side(
+        self, data, m, n, max_steps, seed
+    ):
+        # each point of the larger side has exactly one partner and every
+        # point of the smaller side has one at least: the graph of a map
+        # from the larger side onto the smaller, which _descend relies on
+        x = FiniteMetricSpace(tuple(f"x{i}" for i in range(m)), data.draw(symmetric_zero_diagonal(m)))
+        y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), data.draw(symmetric_zero_diagonal(n)))
+        rng = random.Random(seed)
+        starts = [C._greedy_codes(x, y)] + [C._random_codes(rng, m, n) for _ in range(3)]
+        for codes in starts + [C._descend(x, y, start, max_steps)[1] for start in starts]:
+            rows, cols = [c // n for c in codes], [c % n for c in codes]
+            big, small = (rows, cols) if m >= n else (cols, rows)
+            assert sorted(big) == list(range(max(m, n)))
+            assert set(small) == set(range(min(m, n)))
+
+    def test_candidates_are_tried_in_code_order(self):
+        # a descent step on this 3 x 5 planar pair has one hot pair, whose
+        # two points of Y can both move; slot codes i*n + j order them by
+        # (image, point), not by point, and trying them by point ends at
+        # 0.15239207305515973
+        dx = [[0.0, 0.5856423760974991, 0.7693976439826878],
+              [0.5856423760974991, 0.0, 0.264199260012427],
+              [0.7693976439826878, 0.264199260012427, 0.0]]
+        dy = [[0.0, 0.8487501813506666, 0.30478414611031945, 0.6769312840790632, 0.20875441798623573],
+              [0.8487501813506666, 0.0, 0.5942598926940639, 0.21271405432663548, 0.6509435277995677],
+              [0.30478414611031945, 0.5942598926940639, 0.0, 0.4693385828263944, 0.10746026844049457],
+              [0.6769312840790632, 0.21271405432663548, 0.4693385828263944, 0.0, 0.4971955780041977],
+              [0.20875441798623573, 0.6509435277995677, 0.10746026844049457, 0.4971955780041977, 0.0]]
+        res = gh_distance_heuristic(validate_metric(dx), validate_metric(dy))
+        expected = (0.15002953057814672, [(0, 1), (0, 3), (1, 0), (1, 4), (2, 2)])
+        assert (res.value, res.witness.sorted_pairs()) == expected
+        assert naive_gh_heuristic(dx, dy) == expected
+
     @pytest.mark.parametrize("kind", ["planar", "graph"])
     @pytest.mark.parametrize("m, n", [(8, 60), (16, 40), (60, 8)])
     def test_every_budget_leaves_a_correspondence_worth_its_value(self, kind, m, n):
