@@ -192,25 +192,17 @@ def _require_within_cap(slots: int, what: str = "m*n") -> None:
 # the objective: one pair-delta kernel for every search
 # ---------------------------------------------------------------------------
 
-def _deltas(
-    x: FiniteMetricSpace, y: FiniteMetricSpace, members: np.ndarray | None = None
-) -> np.ndarray:
-    """T[b, q] = | dX[i][i'] - dY[j][j'] | for member b = i*n+j and slot
-    q = i'*n+j', one row per member; every slot is a member when
-    ``members`` is None, and the rows are then broadcast, not gathered.
+def _deltas(x: FiniteMetricSpace, y: FiniteMetricSpace) -> np.ndarray:
+    """T[p, q] = | dX[i][i'] - dY[j][j'] | for slots p = i*n+j and
+    q = i'*n+j', the exact solver's table.
 
-    Both matrices are in normal form, so with every slot a member T is
-    exactly symmetric with a zero diagonal: the maximum of T[:, members] is
-    distortion()'s own maximum, and every search optimizes exactly the value
-    it reports.  The exact solver's table and the greedy start read it;
-    heuristic descent computes the same differences over the member columns
-    and one line of slots at a time (``_descend``).
+    Both matrices are in normal form, so T is exactly symmetric with a zero
+    diagonal: the maximum of T[R][:, R] is distortion()'s own maximum, and
+    the solver optimizes exactly the value it reports.  The greedy start and
+    heuristic descent compute the same deltas a row or a column at a time,
+    bit for bit.
     """
-    if members is None:
-        d = x.dist[:, None, :, None] - y.dist[None, :, None, :]
-    else:
-        ui, uj = np.divmod(members, len(y))
-        d = x.dist[ui][:, :, None] - y.dist[uj][:, None, :]
+    d = x.dist[:, None, :, None] - y.dist[None, :, None, :]
     np.abs(d, out=d)
     return d.reshape(-1, len(x) * len(y))
 
@@ -228,23 +220,25 @@ def _greedy_codes(x: FiniteMetricSpace, y: FiniteMetricSpace) -> list[int]:
     order_x = sorted(range(m), key=ecc_x.__getitem__)
     order_y = sorted(range(n), key=ecc_y.__getitem__)
     k = min(m, n)
-    codes = [order_x[a] * n + order_y[a] for a in range(k)]
     if m == n:
-        return codes
+        return [order_x[a] * n + order_y[a] for a in range(k)]
     # each leftover point takes the slot whose largest delta against the
     # slots chosen so far is smallest, the first one on ties; worst[i*n+j]
     # is slot (i, j)'s largest delta, so a leftover point's candidates are
     # one row or one column of it
-    worst = _deltas(x, y, np.array(codes)).max(axis=0)
-    for a in range(k, max(m, n)):
-        if m > n:
+    codes = []
+    worst = np.zeros(m * n)
+    for a in range(max(m, n)):
+        if a < k:
+            i, j = order_x[a], order_y[a]
+        elif m > n:
             i = order_x[a]
             j = int(worst[i * n : (i + 1) * n].argmin())
         else:
             j = order_y[a]
             i = int(worst[j::n].argmin())
         codes.append(i * n + j)
-        # the new slot's row of _deltas, without building index arrays
+        # slot (i, j)'s row of _deltas, without building index arrays
         np.maximum(worst, np.abs(dx[i][:, None] - dy[j]).ravel(), out=worst)
     return codes
 
@@ -404,118 +398,91 @@ class HeuristicConfig:
 
 
 def _swap_target(
-    x: FiniteMetricSpace, y: FiniteMetricSpace, rows: np.ndarray, cols: np.ndarray,
-    b: int, in_row: bool, cur: float,
+    big: np.ndarray, small: np.ndarray, g: np.ndarray, p: int, cur: float
 ) -> tuple[int, np.ndarray] | None:
-    """The first absent slot that member b can swap into, as (slot, its
-    deltas against the members), or None.
+    """The first image, ascending, that point p of the larger side can move
+    to, as (image, p's pullback column after the move), or None.
 
-    b is the only member on its row (``in_row``) or on its column, so the
-    targets are the other slots of that line, ascending by code.  Slot q
-    qualifies when no member but b reaches ``cur`` against it.
+    Image k qualifies when no point but p reaches ``cur`` against p mapped
+    to k.
     """
-    i, j = int(rows[b]), int(cols[b])
-    if in_row:  # slots (i, 0), ..., (i, n-1)
-        line = x.dist[rows, i][:, None] - y.dist.take(cols, 0)
-    else:  # slots (0, j), ..., (m-1, j)
-        line = x.dist.take(rows, 0) - y.dist[cols, j][:, None]
+    line = big[:, p][:, None] - small.take(g, 0)
     np.abs(line, out=line)
     hot = line >= cur
-    hot[b] = False
+    hot[p] = False
     taken = hot.any(axis=0)
-    taken[j if in_row else i] = True  # b's own slot
+    taken[g[p]] = True  # p's own image
     k = int(taken.argmin())
     if taken[k]:
         return None
-    return (i * len(y) + k if in_row else k * len(y) + j), line[:, k]
+    return k, line[:, k]
 
 
 def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) -> tuple[float, set[int]]:
     """First-improvement hill climbing on distortion, at most ``max_steps``
     moves.
 
-    Moves are scanned in a fixed order: remove a member (surjectivity
-    permitting), then swap a member for an absent slot; members and slots
-    ascending by code, strict improvement only.  Adding a slot is never a
-    move, since distortion is monotone under inclusion.
+    ``codes`` holds exactly one slot per point of the larger side L and
+    covers the smaller side S, as every start of ``gh_distance_heuristic``
+    does: it is the graph of a map g from L onto S.  A move reassigns one
+    point's image, and a point may move only when its image has another
+    preimage, so g stays onto.  Removing a member never helps, since it
+    would uncover a point of L, and adding one never does, since distortion
+    is monotone under inclusion.  Points are tried by slot code i*n+j, which
+    is (g(p), p) when L is Y, then images ascending; strict improvement
+    only.
 
-    A step reads the |R| x |R| pullback ``pull[u, v]``, the delta between
-    members u and v, built once and updated in place: a removal moves the
-    last member into the removed one's place, a swap rewrites one row and
-    column.  The member codes, their rows and columns, and the number of
-    members on each row and column of slots are kept across steps the same
-    way.  A member that can only be swapped away is alone on its row or its
-    column, so only that line's deltas against the members are built
-    (``_swap_target``).  A step thus costs O(|R|^2 + |R| max(m, n)) in a
-    fixed handful of numpy calls.  Every delta is computed as in
-    ``_deltas``, bit for bit.
+    A step reads the pullback ``pull[p, q] = |dL[p][q] - dS[g p][g q]|``,
+    built once and updated in place: a move rewrites one row and column,
+    the moved point's deltas against the others for each image
+    (``_swap_target``).  The number of preimages of each point of S is kept
+    the same way.  A step thus costs O(|L|^2) in a fixed handful of numpy
+    calls.  Every delta is computed as in ``_deltas``, bit for bit, since
+    |a - b| and |b - a| are the same float.
 
-    A bijection has no improving move: a drop needs a member whose row and
-    column each hold another member, and a member alone in its row and
-    column can only swap to its own slot.  So a bijection is scored on its
-    pullback and returned.
+    A bijection has no improving move, since every image has a single
+    preimage.  So a bijection is scored on its pullback and returned.
     """
     m, n = len(x), len(y)
-    members = np.array(sorted(codes))
-    if len(members) == m == n:
-        # sorted by code, member i is the pair (i, perm[i])
-        perm = members % n
-        cur = float(np.abs(x.dist - y.dist.take(perm, 0).take(perm, 1)).max())
-        return cur, set(members.tolist())
-    rows, cols = np.divmod(members, n)
-    pull = np.abs(x.dist[rows][:, rows] - y.dist[cols][:, cols])
-    members = members.tolist()
-    on_row, on_col = [0] * m, [0] * n  # members per row and per column
-    for c in members:
-        on_row[c // n] += 1
-        on_col[c % n] += 1
+    i, j = np.divmod(np.array(list(codes)), n)
+    if m >= n:
+        big, small, points, images = x.dist, y.dist, i, j
+    else:
+        big, small, points, images = y.dist, x.dist, j, i
+    g = np.empty(len(big), dtype=np.intp)
+    g[points] = images
+    # point p's slot is (rows[p], cols[p]); one of them is g, moved in place
+    on = np.arange(len(g))
+    rows, cols = (on, g) if m >= n else (g, on)
+    pull = np.abs(big - small.take(g, 0).take(g, 1))
+    if m == n:
+        return float(pull.max()), set((rows * n + cols).tolist())
+    preimages = np.bincount(g, minlength=len(small)).tolist()
     steps = 0
     while True:
         top = int(pull.argmax())
         cur = pull.item(top)
         if steps >= max_steps or cur <= 0.0:
-            return cur, set(members)
-        # dis(R - {p}) < cur exactly when every member pair at or above cur
+            return cur, set((rows * n + cols).tolist())
+        # a move of p improves only when every pair at or above cur
         # involves p, so p is a member of the first such pair argmax finds;
         # the pullback is symmetric with a zero diagonal, so p's pairs are
         # twice those in its row
         hot = pull >= cur
         total = np.count_nonzero(hot)
-        drops = [b for b in sorted(divmod(top, len(members)), key=members.__getitem__)
-                 if 2 * np.count_nonzero(hot[b]) == total]
-        # whether each candidate is alone on its row, and on its column
-        short = [(on_row[members[b] // n] < 2, on_col[members[b] % n] < 2) for b in drops]
-        if (False, False) in short:
-            b = drops[short.index((False, False))]
-            i, j = divmod(members[b], n)
-            on_row[i] -= 1
-            on_col[j] -= 1
-            members[b] = members[-1]
-            members.pop()
-            rows[b], cols[b] = rows[-1], cols[-1]
-            pull[b] = pull[-1]
-            pull[:, b] = pull[:, -1]
-            rows, cols, pull = rows[:-1], cols[:-1], pull[:-1, :-1]
+        for p in sorted(divmod(top, len(g)), key=lambda p: rows[p] * n + cols[p]):
+            if preimages[g[p]] > 1 and 2 * np.count_nonzero(hot[p]) == total:
+                swap = _swap_target(big, small, g, p, cur)
+                if swap is not None:
+                    break
         else:
-            # every candidate is short on some line; one short on both can
-            # only swap into its own slot
-            for b, (row_short, col_short) in zip(drops, short):
-                if row_short != col_short:
-                    swap = _swap_target(x, y, rows, cols, b, row_short, cur)
-                    if swap is not None:
-                        break
-            else:
-                return cur, set(members)
-            code, column = swap
-            i, j = divmod(members[b], n)
-            on_row[i] -= 1
-            on_col[j] -= 1
-            i, j = divmod(code, n)
-            on_row[i] += 1
-            on_col[j] += 1
-            members[b], rows[b], cols[b] = code, i, j
-            pull[b] = pull[:, b] = column
-            pull[b, b] = 0.0
+            return cur, set((rows * n + cols).tolist())
+        k, column = swap
+        preimages[g[p]] -= 1
+        preimages[k] += 1
+        g[p] = k
+        pull[p] = pull[:, p] = column
+        pull[p, p] = 0.0
         steps += 1
 
 

@@ -353,19 +353,6 @@ class TestDiameterFloor:
 
 
 class TestSearchKernels:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        shape=st.sampled_from(ORACLE_SHAPES),
-        make=st.sampled_from([planar_matrix, graph_matrix]),
-        seed=st.integers(0, 2**32 - 1),
-        jitter=st.booleans(),
-    )
-    def test_broadcast_table_equals_the_gathered_rows(self, shape, make, seed, jitter):
-        x, y = drawn_pair(shape, make, seed, jitter)
-        every = np.arange(len(x) * len(y))
-        assert C._deltas(x, y).tobytes() == C._deltas(x, y, every).tobytes()
-        assert C._deltas(x, y).shape == (every.size, every.size)
-
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(st.integers(1, 30), st.integers(1, 200)).flatmap(
         lambda shape: arrays(np.bool_, shape)))
@@ -546,10 +533,10 @@ class TestHeuristic:
         assert res.value == value
         assert res.witness.sorted_pairs() == pairs
 
-    @pytest.mark.parametrize("shape, calls", [((12, 12), 0), ((30, 30), 0), ((8, 20), 1)])
+    @pytest.mark.parametrize("shape, calls", [((12, 12), 0), ((30, 30), 0), ((8, 20), 0)])
     def test_delta_rows_built(self, monkeypatch, shape, calls):
-        # descents read their pullback and one line of slots per swap, never
-        # _deltas; on 8 x 20 the one call is the greedy start's
+        # the greedy start and the descents build their deltas one row or
+        # one line of slots at a time, never through _deltas
         deltas, count = C._deltas, []
 
         def counting(*args):
@@ -681,10 +668,8 @@ class TestHeuristic:
         rng = random.Random(f"{kind} {m}x{n}")
         x = validate_metric(make(rng, m), kind="pseudometric", tol=1e-9)
         y = validate_metric(make(rng, n), kind="pseudometric", tol=1e-9)
-        # a start of the heuristic holds one member per point of the larger
-        # side, so it can only swap; twelve more random slots let it drop
-        for extra in (0, 0, 12, 12):
-            start = C._random_codes(rng, m, n) | set(rng.sample(range(m * n), extra))
+        for _ in range(2):
+            start = C._random_codes(rng, m, n)
             end = C._descend(x, y, start, 1000)
             steps, last = 0, float("inf")
             while True:
