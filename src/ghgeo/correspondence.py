@@ -80,6 +80,16 @@ class Correspondence:
         )
         return cls(m, n, pairs)
 
+    @classmethod
+    def _trusted(cls, m: int, n: int, pairs: frozenset[tuple[int, int]]) -> "Correspondence":
+        """A correspondence over ``pairs``, pairs of Python ints already in
+        range and covering both sides: no conversion and no check."""
+        corr = object.__new__(cls)
+        object.__setattr__(corr, "m", m)
+        object.__setattr__(corr, "n", n)
+        object.__setattr__(corr, "pairs", pairs)
+        return corr
+
     def sorted_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)
 
@@ -418,19 +428,22 @@ def _swap_target(
     return k, line[:, k]
 
 
-def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) -> tuple[float, set[int]]:
+def _descend(
+    big: np.ndarray, small: np.ndarray, g: np.ndarray, max_steps: int, by_image: bool
+) -> float:
     """First-improvement hill climbing on distortion, at most ``max_steps``
-    moves.
+    moves; moves ``g`` in place and returns its distortion.
 
-    ``codes`` holds exactly one slot per point of the larger side L and
-    covers the smaller side S, as every start of ``gh_distance_heuristic``
-    does: it is the graph of a map g from L onto S.  A move reassigns one
-    point's image, and a point may move only when its image has another
-    preimage, so g stays onto.  Removing a member never helps, since it
-    would uncover a point of L, and adding one never does, since distortion
-    is monotone under inclusion.  Points are tried by slot code i*n+j, which
-    is (g(p), p) when L is Y, then images ascending; strict improvement
-    only.
+    ``g`` maps the points of the larger side L, whose distances are
+    ``big``, onto the smaller side S, whose distances are ``small``, as
+    every start of ``gh_distance_heuristic`` does.  Its graph is the
+    correspondence, so a map onto S covers both sides.  A move reassigns
+    one point's image, and a point may move only when its image has another
+    preimage, so g stays onto.  Removing a pair never helps, since it would
+    uncover a point of L, and adding one never does, since distortion is
+    monotone under inclusion.  Points are tried by the slot code i*n+j of
+    their pair: by p, or by (g(p), p) when ``by_image`` (L is Y); then
+    images ascending; strict improvement only.
 
     A step reads the pullback ``pull[p, q] = |dL[p][q] - dS[g p][g q]|``,
     built once and updated in place: a move rewrites one row and column,
@@ -443,40 +456,30 @@ def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) 
     A bijection has no improving move, since every image has a single
     preimage.  So a bijection is scored on its pullback and returned.
     """
-    m, n = len(x), len(y)
-    i, j = np.divmod(np.array(list(codes)), n)
-    if m >= n:
-        big, small, points, images = x.dist, y.dist, i, j
-    else:
-        big, small, points, images = y.dist, x.dist, j, i
-    g = np.empty(len(big), dtype=np.intp)
-    g[points] = images
-    # point p's slot is (rows[p], cols[p]); one of them is g, moved in place
-    on = np.arange(len(g))
-    rows, cols = (on, g) if m >= n else (g, on)
     pull = np.abs(big - small.take(g, 0).take(g, 1))
-    if m == n:
-        return float(pull.max()), set((rows * n + cols).tolist())
+    if len(big) == len(small):
+        return float(pull.max())
     preimages = np.bincount(g, minlength=len(small)).tolist()
+    code = (lambda p: (g[p], p)) if by_image else None
     steps = 0
     while True:
         top = int(pull.argmax())
         cur = pull.item(top)
         if steps >= max_steps or cur <= 0.0:
-            return cur, set((rows * n + cols).tolist())
+            return cur
         # a move of p improves only when every pair at or above cur
         # involves p, so p is a member of the first such pair argmax finds;
         # the pullback is symmetric with a zero diagonal, so p's pairs are
         # twice those in its row
         hot = pull >= cur
         total = np.count_nonzero(hot)
-        for p in sorted(divmod(top, len(g)), key=lambda p: rows[p] * n + cols[p]):
+        for p in sorted(divmod(top, len(g)), key=code):
             if preimages[g[p]] > 1 and 2 * np.count_nonzero(hot[p]) == total:
                 swap = _swap_target(big, small, g, p, cur)
                 if swap is not None:
                     break
         else:
-            return cur, set((rows * n + cols).tolist())
+            return cur
         k, column = swap
         preimages[g[p]] -= 1
         preimages[k] += 1
@@ -486,18 +489,19 @@ def _descend(x: FiniteMetricSpace, y: FiniteMetricSpace, codes, max_steps: int) 
         steps += 1
 
 
-def _random_codes(rng, m: int, n: int) -> set[int]:
+def _random_map(rng, m: int, n: int) -> np.ndarray:
+    """A random map g from the larger side onto the smaller: both sides
+    shuffled, X first, the first min(m, n) points of each paired in order,
+    then one image drawn per leftover point of the larger side."""
     xs = list(range(m))
     ys = list(range(n))
     rng.shuffle(xs)
     rng.shuffle(ys)
-    k = min(m, n)
-    codes = {xs[a] * n + ys[a] for a in range(k)}
-    for a in range(k, m):
-        codes.add(xs[a] * n + rng.randrange(n))
-    for a in range(k, n):
-        codes.add(rng.randrange(m) * n + ys[a])
-    return codes
+    points, images = (xs, ys) if m >= n else (ys, xs)
+    k = len(images)
+    g = np.empty(len(points), dtype=np.intp)
+    g[points] = images + [rng.randrange(k) for _ in range(k, len(points))]
+    return g
 
 
 def gh_distance_heuristic(
@@ -518,22 +522,27 @@ def gh_distance_heuristic(
 
     cfg = config or HeuristicConfig()
     m, n = len(x), len(y)
+    by_image = m < n
+    big, small = (y.dist, x.dist) if by_image else (x.dist, y.dist)
     rng = random.Random(cfg.seed)
 
-    best_dis = None
-    best_codes: set[int] = set()
+    best_dis = best_g = None
     for restart in range(cfg.restarts):
         if restart == 0:
-            codes = _greedy_codes(x, y)
+            rows, cols = np.divmod(_greedy_codes(x, y), n)
+            points, images = (cols, rows) if by_image else (rows, cols)
+            g = np.empty(len(big), dtype=np.intp)
+            g[points] = images
         else:
-            codes = _random_codes(rng, m, n)
-        dis_val, codes = _descend(x, y, codes, cfg.iterations)
+            g = _random_map(rng, m, n)
+        dis_val = _descend(big, small, g, cfg.iterations, by_image)
         if best_dis is None or dis_val < best_dis:
-            best_dis = dis_val
-            best_codes = codes
+            best_dis, best_g = dis_val, g
         if best_dis == 0.0:
             break
 
-    pairs = frozenset((c // n, c % n) for c in best_codes)
-    witness = Correspondence(m, n, pairs)
+    # the graph of a map onto the smaller side is a correspondence
+    images = best_g.tolist()
+    pairs = frozenset(zip(images, range(len(images))) if by_image else enumerate(images))
+    witness = Correspondence._trusted(m, n, pairs)
     return GHResult(0.5 * best_dis, witness, "heuristic", False)

@@ -629,15 +629,28 @@ class TestHeuristic:
         # each point of the larger side has exactly one partner and every
         # point of the smaller side has one at least: the graph of a map
         # from the larger side onto the smaller, which _descend relies on
+        # and the heuristic's unchecked witness is built from
         x = FiniteMetricSpace(tuple(f"x{i}" for i in range(m)), data.draw(symmetric_zero_diagonal(m)))
         y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), data.draw(symmetric_zero_diagonal(n)))
+        by_image = m < n
+        big, small = (y.dist, x.dist) if by_image else (x.dist, y.dist)
+        codes = C._greedy_codes(x, y)
+        rows, cols = [c // n for c in codes], [c % n for c in codes]
+        points, images = (cols, rows) if by_image else (rows, cols)
+        assert sorted(points) == list(range(max(m, n)))
+        assert set(images) == set(range(min(m, n)))
+        greedy = np.empty(max(m, n), dtype=np.intp)
+        greedy[points] = images
+
+        def assert_onto(g):
+            assert g.shape == (max(m, n),)
+            assert set(g.tolist()) == set(range(min(m, n)))
+
         rng = random.Random(seed)
-        starts = [C._greedy_codes(x, y)] + [C._random_codes(rng, m, n) for _ in range(3)]
-        for codes in starts + [C._descend(x, y, start, max_steps)[1] for start in starts]:
-            rows, cols = [c // n for c in codes], [c % n for c in codes]
-            big, small = (rows, cols) if m >= n else (cols, rows)
-            assert sorted(big) == list(range(max(m, n)))
-            assert set(small) == set(range(min(m, n)))
+        for g in [greedy] + [C._random_map(rng, m, n) for _ in range(3)]:
+            assert_onto(g)
+            C._descend(big, small, g, max_steps, by_image)
+            assert_onto(g)
 
     def test_candidates_are_tried_in_code_order(self):
         # a descent step on this 3 x 5 planar pair has one hot pair, whose
@@ -668,17 +681,93 @@ class TestHeuristic:
         rng = random.Random(f"{kind} {m}x{n}")
         x = validate_metric(make(rng, m), kind="pseudometric", tol=1e-9)
         y = validate_metric(make(rng, n), kind="pseudometric", tol=1e-9)
+        by_image = m < n
+        big, small = (y.dist, x.dist) if by_image else (x.dist, y.dist)
         for _ in range(2):
-            start = C._random_codes(rng, m, n)
-            end = C._descend(x, y, start, 1000)
+            # _descend moves its map in place, so each cut descent gets a copy
+            start = C._random_map(rng, m, n)
+            end = start.copy()
+            end_value = C._descend(big, small, end, 1000, by_image)
             steps, last = 0, float("inf")
             while True:
-                value, codes = C._descend(x, y, start, steps)
-                witness = Correspondence(m, n, frozenset(divmod(c, n) for c in codes))
+                g = start.copy()
+                value = C._descend(big, small, g, steps, by_image)
+                graph = [(q, p) if by_image else (p, q) for p, q in enumerate(g.tolist())]
+                witness = Correspondence(m, n, frozenset(graph))
                 assert distortion(witness, x, y) == value
                 assert value <= last
-                if (value, codes) == end:
+                if value == end_value and np.array_equal(g, end):
                     break
                 steps, last = steps + 1, value
             # ties leave most starts of a graph pair without a move
             assert kind == "graph" or steps > 0
+
+    # the pairs of one random start and the next 16 bits of its generator,
+    # per seed 0-4, as the slot-code start drew them: shuffle X, shuffle Y,
+    # then one image per leftover point of the larger side
+    RANDOM_STARTS = {
+        (3, 5): [
+            ([(0, 4), (1, 0), (1, 2), (1, 3), (2, 1)], 63425),
+            ([(0, 1), (1, 0), (1, 3), (2, 2), (2, 4)], 24878),
+            ([(0, 4), (1, 2), (1, 3), (2, 0), (2, 1)], 13907),
+            ([(0, 2), (0, 4), (1, 1), (2, 0), (2, 3)], 59560),
+            ([(0, 0), (0, 1), (0, 3), (1, 4), (2, 2)], 1298),
+        ],
+        (5, 3): [
+            ([(0, 2), (1, 1), (2, 0), (3, 1), (4, 1)], 63425),
+            ([(0, 1), (1, 2), (2, 0), (3, 2), (4, 1)], 24878),
+            ([(0, 2), (1, 1), (2, 2), (3, 0), (4, 1)], 13907),
+            ([(0, 1), (1, 0), (2, 0), (3, 2), (4, 2)], 59560),
+            ([(0, 1), (1, 0), (2, 0), (3, 2), (4, 0)], 1298),
+        ],
+        (4, 4): [
+            ([(0, 1), (1, 3), (2, 0), (3, 2)], 26537),
+            ([(0, 1), (1, 2), (2, 0), (3, 3)], 49870),
+            ([(0, 2), (1, 3), (2, 1), (3, 0)], 16487),
+            ([(0, 1), (1, 2), (2, 3), (3, 0)], 41007),
+            ([(0, 0), (1, 3), (2, 2), (3, 1)], 5904),
+        ],
+        # one point on a side: every start is all pairs, so only the
+        # generator's state after it shows the draws
+        (1, 6): [([(0, j) for j in range(6)], w) for w in (33075, 6151, 65517, 12566, 26318)],
+        (6, 1): [([(i, 0) for i in range(6)], w) for w in (33075, 6151, 65517, 12566, 26318)],
+    }
+
+    @pytest.mark.parametrize("shape", sorted(RANDOM_STARTS))
+    def test_random_start_draws_pinned(self, shape):
+        m, n = shape
+        for seed, expected in enumerate(self.RANDOM_STARTS[shape]):
+            rng = random.Random(seed)
+            g = C._random_map(rng, m, n).tolist()
+            pairs = sorted((q, p) if m < n else (p, q) for p, q in enumerate(g))
+            assert (pairs, rng.getrandbits(16)) == expected, seed
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        kind=st.sampled_from(["planar", "graph", "matrix"]),
+        iterations=st.one_of(st.integers(1, 4), st.just(1000)),
+        seed=st.integers(0, 2**32 - 1),
+        restarts=st.integers(1, 5),
+    )
+    def test_witness_is_a_checked_correspondence(self, data, m, n, kind, iterations, seed, restarts):
+        # the heuristic builds its witness from its best map without the
+        # constructor's checks; the constructor must accept the same pairs
+        # and give an equal object, of Python ints, that JSON gives back
+        if kind == "matrix":
+            x = FiniteMetricSpace(tuple(f"x{i}" for i in range(m)), data.draw(symmetric_zero_diagonal(m)))
+            y = FiniteMetricSpace(tuple(f"y{j}" for j in range(n)), data.draw(symmetric_zero_diagonal(n)))
+        else:
+            make = {"planar": planar_matrix, "graph": graph_matrix}[kind]
+            rng = random.Random(seed)
+            x = validate_metric(make(rng, m), kind="pseudometric", tol=1e-9)
+            y = validate_metric(make(rng, n), kind="pseudometric", tol=1e-9)
+        witness = gh_distance_heuristic(x, y, HeuristicConfig(iterations, seed, restarts)).witness
+        checked = Correspondence(m, n, witness.pairs)
+        assert witness == checked
+        assert hash(witness) == hash(checked)
+        assert type(witness.m) is int and type(witness.n) is int
+        assert all(type(i) is int and type(j) is int for i, j in witness.pairs)
+        assert correspondence_from_json_dict(witness.to_json_dict()) == witness
